@@ -2,9 +2,9 @@
 
 The ROADMAP's "compile the hot path" item, cashed in: interning
 channels/messages to small ints, running the §3.3 BFS over flat
-packed traces, evaluating ``g`` over a whole frontier level in one
-batch, and collapsing the finite-fragment order tests to tuple prefix
-checks (see :mod:`repro.core.compiled`).  Timed cold — table build
+packed traces, deriving each node's ``g`` from its parent's, and
+collapsing the finite-fragment order tests to tuple prefix checks
+(see :mod:`repro.core.compiled`).  Timed cold — table build
 and closure compilation inside the measured region — against the
 PR-4 memoized reference loop at the same depth, with the speedup
 refused unless every observable artifact is bit-identical:

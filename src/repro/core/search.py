@@ -116,9 +116,9 @@ def _rank_channel_balance(depth, f_lens, g_lens, counts):
     return (max(counts) - min(counts)) if counts else 0
 
 
-#: The heuristic registry.  ``depth`` reproduces BFS order exactly
-#: (FIFO tie-break included), which is how the duplicate-state path
-#: serves plain BFS without touching the pinned reference loops.
+#: The heuristic registry.  ``depth`` is BFS order (FIFO tie-break
+#: included); the solver serves it from a FIFO frontier, not a heap,
+#: and evaluates ``g`` at pop instead of at push.
 HEURISTICS: Dict[str, Heuristic] = {
     "depth": Heuristic("depth", _rank_depth),
     "rhs-distance": Heuristic("rhs-distance", _rank_rhs_distance,

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro.channels.channel import Channel
 from repro.channels.event import Event
@@ -368,7 +369,8 @@ class SmoothSolutionSolver:
                 resume_from: Optional[object] = None,
                 _watch: Optional[Callable[[Trace], str]] = None
                 ) -> SolverResult:
-        """Breadth-first exploration to ``max_depth``.
+        """Exploration to ``max_depth`` in the configured strategy's
+        order (breadth-first by default).
 
         Resource guards keep runaway alphabets and hostile candidate
         generators from running unbounded: at most ``max_nodes`` nodes
@@ -386,8 +388,8 @@ class SmoothSolutionSolver:
         :meth:`SolverResult.checkpoint`.  Every carried trace is
         replayed as a witness path through the live description (so
         checkpoints stay pure JSON and corrupted ones are caught, and
-        the carried ``f(u)`` values are recomputed), then the BFS is
-        re-seeded from the unvisited nodes at their recorded depths.
+        the carried ``f(u)`` values are recomputed), then the search
+        is re-seeded from the unvisited nodes at their recorded depths.
         Invariant: truncate-then-resume is digest-equal to the
         straight run.
 
@@ -417,23 +419,25 @@ class SmoothSolutionSolver:
 
         When the description and candidate generator lie in the
         compilable finite fragment (see :mod:`repro.core.compiled`),
-        the same BFS runs over interned channels/messages and flat
-        packed traces with batched per-level ``g`` evaluation — an
-        order of magnitude faster, and bit-identical at this API
-        boundary: results, digests, checkpoints and cache payloads
-        match the reference path exactly (pinned by
-        ``tests/core/test_compiled_solver.py``).  The ``compiled``
-        constructor flag selects the engine explicitly.
+        the same walk runs over interned channels/messages and flat
+        packed traces, with ``g`` re-evaluated incrementally from the
+        parent's value — an order of magnitude faster, and
+        bit-identical at this API boundary: results, digests,
+        checkpoints and cache payloads match the reference path
+        exactly (pinned by ``tests/core/test_compiled_solver.py``).
+        The ``compiled`` constructor flag selects the engine
+        explicitly.
         """
         deadline = (None if budget_seconds is None
                     else time.monotonic() + budget_seconds)
         tracer = self.tracer
         tracing = tracer.enabled
-        profile = None
+        profile = metrics = None
         if tracing:
             from repro.obs.profile import SolverProfile
 
             profile = SolverProfile()
+            metrics = MetricsRegistry()
         cache_key = None
         if self.cache is not None and resume_from is None:
             from repro.cache.keys import solver_cache_key
@@ -451,13 +455,8 @@ class SmoothSolutionSolver:
                 cache_key = dict(cache_key,
                                  strategy=self.strategy,
                                  heuristic=self.heuristic)
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                hit = self.cache.get("solver", cache_key)
-                profile.add("cache.get",
-                            time.perf_counter_ns() - t0)
-            else:
-                hit = self.cache.get("solver", cache_key)
+            hit = _timed(profile, "cache.get",
+                         self.cache.get, "solver", cache_key)
             if hit is not None:
                 rebuilt = self._result_from_payload(hit)
                 if rebuilt is not None:
@@ -473,245 +472,149 @@ class SmoothSolutionSolver:
                 tracer.event(
                     "cache.miss", category="cache", track="solver",
                     key=self.cache.key_digest(cache_key)[:16])
-        metrics = MetricsRegistry() if tracing else None
         result = SolverResult(
             depth=max_depth, limit_depth=self.limit_depth,
             description_name=getattr(self.description, "name", ""))
-        compiled = None
+        run = _Run(max_depth, max_nodes, budget_seconds, deadline,
+                   resume_from, _watch, metrics, profile, cache_key)
         if self.compiled is not False:
             from repro.core.compiled import compile_description
 
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                compiled = compile_description(
-                    self.description, self.candidates)
-                profile.add("compile.build",
-                            time.perf_counter_ns() - t0)
-            else:
-                compiled = compile_description(
-                    self.description, self.candidates)
-            if compiled is None and self.compiled is True:
+            compiled = _timed(profile, "compile.build",
+                              compile_description, self.description,
+                              self.candidates)
+            if compiled is not None:
+                return self._explore_compiled(compiled, result, run)
+            if self.compiled is True:
                 raise ValueError(
                     "compiled=True, but this description/candidate "
                     "pair is outside the compilable fragment (see "
                     "repro.core.compiled for the preconditions)")
-        if self.dedup and compiled is None:
+        if self.dedup:
             self._require_dedup_eligible()
-        # strategy routing: plain BFS stays on the pinned legacy
-        # loops; best-first, duplicate-state reduction and query
-        # watches share the ordered frontier (a depth-ranked heap
-        # *is* BFS, FIFO tie-break included); iterative deepening has
-        # its own loop.  All of them work per engine adapter, so both
-        # representations run the same strategy code.
-        deepening = self.strategy == "iterative-deepening"
-        ordered = (self.strategy == "best-first"
-                   or (not deepening
-                       and (self.dedup or _watch is not None)))
-        if compiled is not None:
-            from repro.core.compiled import CompiledEvalError
+        return self._walk(_ReferenceEngine(self), result, run)
 
-            try:
-                if deepening or ordered:
-                    engine = _CompiledEngine(self, compiled, metrics,
-                                             profile)
-                    runner = (self._explore_deepening if deepening
-                              else self._explore_ordered)
-                    return runner(
-                        engine, result, max_depth, max_nodes,
-                        budget_seconds, deadline, resume_from,
-                        metrics, profile, cache_key, _watch)
-                return self._explore_compiled(
-                    compiled, result, max_depth, max_nodes,
-                    budget_seconds, deadline, resume_from, metrics,
-                    profile, cache_key)
-            except CompiledEvalError as exc:
-                # a compiled closure left the finite fragment mid-run
-                # (possible only for exotic ops that slipped past the
-                # compile-time probe): restart cleanly on the
-                # always-correct reference path
-                if tracing:
-                    tracer.event(
-                        "solver.compiled_fallback", category="solver",
-                        track="solver", reason=str(exc))
-                fallback = SmoothSolutionSolver(
-                    self.description, self.candidates,
-                    limit_depth=self.limit_depth, tracer=self.tracer,
-                    cache=self.cache, compiled=False,
-                    strategy=self.strategy, heuristic=self.heuristic,
-                    dedup=False)
-                return fallback.explore(
-                    max_depth, max_nodes=max_nodes,
-                    budget_seconds=budget_seconds,
-                    resume_from=resume_from, _watch=_watch)
-        if deepening or ordered:
-            engine = _ReferenceEngine(self, metrics, profile)
-            runner = (self._explore_deepening if deepening
-                      else self._explore_ordered)
-            return runner(
-                engine, result, max_depth, max_nodes, budget_seconds,
-                deadline, resume_from, metrics, profile, cache_key,
-                _watch)
-        # level entries are ``(u, f(u))``: f was computed when u was a
-        # candidate of its parent (or re-derived from the checkpoint),
-        # so it rides along instead of being recomputed per node
-        pending: dict[int, list[tuple[Trace, object]]] = {}
-        explored = 0
-        if resume_from is None:
-            root_trace = Trace.empty()
-            start_depth = 0
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                root_f = self.description.lhs.apply(root_trace)
-                profile.add("lhs.apply.root",
-                            time.perf_counter_ns() - t0)
-            else:
-                root_f = self.description.lhs.apply(root_trace)
-            level: list[tuple[Trace, object]] = [
-                (root_trace, root_f)]
-        else:
-            checkpoint = self._coerce_checkpoint(resume_from)
-            self._validate_checkpoint(checkpoint, max_depth)
-            pending = self._resume_seeds(checkpoint, result)
-            explored = checkpoint.nodes_explored
-            if not pending:
-                # checkpoint of a complete exploration: nothing left
-                result.nodes_explored = explored
-                return result
-            start_depth = min(pending)
-            level = pending.pop(start_depth)
-        session_explored = 0
+    def _explore_compiled(self, compiled, result: SolverResult,
+                          run: "_Run") -> SolverResult:
+        """The compiled-engine entry: the walk over packed traces (see
+        :class:`_CompiledEngine`), restarted on the reference engine
+        if a compiled closure leaves the finite fragment mid-run."""
+        from repro.core.compiled import CompiledEvalError
+
+        try:
+            return self._walk(_CompiledEngine(compiled), result, run)
+        except CompiledEvalError as exc:
+            # possible only for exotic ops that slipped past the
+            # compile-time probe: restart cleanly on the
+            # always-correct reference path
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "solver.compiled_fallback", category="solver",
+                    track="solver", reason=str(exc))
+            fallback = SmoothSolutionSolver(
+                self.description, self.candidates,
+                limit_depth=self.limit_depth, tracer=self.tracer,
+                cache=self.cache, compiled=False,
+                strategy=self.strategy, heuristic=self.heuristic,
+                dedup=False)
+            return fallback.explore(
+                run.max_depth, max_nodes=run.max_nodes,
+                budget_seconds=run.budget_seconds,
+                resume_from=run.resume_from, _watch=run.watch)
+
+    def _walk(self, engine, result: SolverResult,
+              run: "_Run") -> SolverResult:
+        """Seed ``engine``, run the strategy's walk over it inside the
+        ``solver.explore`` span, and finish the run.
+
+        Cost attribution and duplicate-state reduction wrap the engine
+        here (:class:`_ProfiledEngine`, :class:`_DedupEngine`), so
+        neither walk carries code for them.
+        """
+        tracer = self.tracer
+        if run.profile is not None:
+            engine = _ProfiledEngine(engine, run.profile, run.metrics,
+                                     tracer)
+        if self.dedup:
+            engine = _DedupEngine(engine, run.profile)
+        checkpoint, seeds = self._seeds(engine, result, run)
         with tracer.span("solver.explore", category="solver",
-                         track="solver", depth=max_depth,
-                         max_nodes=max_nodes,
-                         resumed=resume_from is not None,
+                         track="solver", depth=run.max_depth,
+                         max_nodes=run.max_nodes,
+                         resumed=run.resume_from is not None,
                          limit_depth=self.limit_depth) as root:
-            for depth in range(start_depth, max_depth + 1):
-                with tracer.span("solver.level", category="solver",
-                                 track="solver", depth=depth,
-                                 width=len(level)):
-                    if profile is not None:
-                        level_t0 = time.perf_counter_ns()
-                        level_explored = session_explored
-                        level_accepted = len(result.finite_solutions)
-                        level_dead = len(result.dead_ends)
-                    # children of already-explored nodes carried over
-                    # by a checkpoint come first, preserving BFS order
-                    next_level: list[tuple[Trace, object]] = \
-                        pending.pop(depth + 1, [])
-                    for i, (u, fu) in enumerate(level):
-                        reason = ""
-                        if session_explored >= max_nodes:
-                            reason = (f"node budget ({max_nodes}) "
-                                      f"exhausted at depth {depth}")
-                        elif deadline is not None and \
-                                time.monotonic() > deadline:
-                            reason = (f"wall-clock budget "
-                                      f"({budget_seconds}s) exhausted "
-                                      f"at depth {depth}")
-                        if reason:
-                            self._truncate(result, level[i:],
-                                           next_level, reason)
-                            if tracing:
-                                tracer.event(
-                                    "solver.truncate",
-                                    category="solver", track="solver",
-                                    reason=reason,
-                                    parked=len(result.unvisited))
-                            break
-                        explored += 1
-                        session_explored += 1
-                        if profile is not None:
-                            t0 = time.perf_counter_ns()
-                            gu = self.description.rhs.apply(u)
-                            t1 = time.perf_counter_ns()
-                            limit = self.description.limit_report(
-                                u, self.limit_depth,
-                                lhs_value=fu, rhs_value=gu).holds
-                            t2 = time.perf_counter_ns()
-                            profile.add("rhs.apply", t1 - t0)
-                            profile.add("limit_report", t2 - t1)
-                        else:
-                            gu = self.description.rhs.apply(u)
-                            limit = self.description.limit_report(
-                                u, self.limit_depth,
-                                lhs_value=fu, rhs_value=gu).holds
-                        if depth < max_depth:
-                            kids = self._expand(u, gu, metrics,
-                                                profile)
-                        else:
-                            kids = None
-                        if limit:
-                            result.finite_solutions.append(u)
-                            if tracing:
-                                tracer.event(
-                                    "solver.accept",
-                                    category="solver", track="solver",
-                                    node=repr(u), depth=depth)
-                        if kids is None:
-                            # at the bound: frontier if extendable
-                            if self._extendable(u, gu, profile):
-                                result.frontier.append(u)
-                            elif not limit:
-                                result.dead_ends.append(u)
-                            continue
-                        if not kids and not limit:
-                            result.dead_ends.append(u)
-                            if tracing:
-                                tracer.event(
-                                    "solver.dead_end",
-                                    category="solver", track="solver",
-                                    node=repr(u), depth=depth)
-                        next_level.extend(kids)
-                    if tracing:
-                        metrics.gauge("solver.level_width").set(
-                            len(next_level))
-                        profile.note(
-                            "expanded",
-                            session_explored - level_explored)
-                        profile.note(
-                            "accepted",
-                            len(result.finite_solutions)
-                            - level_accepted)
-                        profile.note(
-                            "dead_ends",
-                            len(result.dead_ends) - level_dead)
-                        profile.end_level(
-                            depth, len(level),
-                            time.perf_counter_ns() - level_t0)
-                    level = next_level
-                if result.truncated or not level:
-                    break
-            result.nodes_explored = explored
-            if tracing:
-                metrics.counter("solver.nodes_expanded").inc(
-                    session_explored)
-                metrics.counter("solver.finite_solutions").inc(
-                    len(result.finite_solutions))
-                metrics.counter("solver.dead_ends").inc(
-                    len(result.dead_ends))
-                metrics.gauge("solver.frontier_size").set(
-                    len(result.frontier))
-                root.annotate(nodes=explored,
-                              solutions=len(result.finite_solutions),
-                              truncated=result.truncated)
-        if cache_key is not None and self._cacheable(result):
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-                profile.add("cache.put",
-                            time.perf_counter_ns() - t0)
+            if self.strategy == "iterative-deepening":
+                session = self._explore_deepening(
+                    engine, result, seeds, checkpoint, run)
             else:
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-            if tracing:
+                session = self._explore_ordered(engine, result, seeds,
+                                                run)
+            result.nodes_explored = session + (
+                0 if checkpoint is None else checkpoint.nodes_explored)
+            root.annotate(nodes=result.nodes_explored,
+                          solutions=len(result.finite_solutions),
+                          truncated=result.truncated)
+        return self._finish_run(result, session, run)
+
+    def _seeds(self, engine, result: SolverResult,
+               run: "_Run") -> tuple:
+        """The walk's starting nodes as ``(depth, node, f(node))``,
+        shallowest first, with the checkpoint they came from (or
+        ``None``).
+
+        A fresh run starts at the root ``⊥``.  A resumed one replays
+        every carried trace as a witness path (each step must be an
+        admissible extension), so a checkpoint that does not describe
+        this description's §3.3 tree raises
+        :class:`~repro.obs.replay.ReplayDivergence` instead of
+        silently seeding garbage.  The classified traces go straight
+        into ``result``; the unvisited ones become the seeds, at their
+        depth (= trace length), with their ``f`` values recomputed —
+        the price of keeping checkpoints pure JSON.
+        """
+        if run.resume_from is None:
+            node, fu = _timed(run.profile, "lhs.apply.root",
+                              engine.seed, Trace.empty())
+            return None, [(0, node, fu)]
+        checkpoint = self._coerce_checkpoint(run.resume_from)
+        self._validate_checkpoint(checkpoint, run.max_depth)
+        for bucket, keys in (
+                (result.finite_solutions, checkpoint.finite_solutions),
+                (result.frontier, checkpoint.frontier),
+                (result.dead_ends, checkpoint.dead_ends)):
+            bucket.extend(self._walk_path(key) for key in keys)
+        seeds = []
+        for key in checkpoint.unvisited:
+            u = self._walk_path(key)
+            seeds.append((u.length(), *engine.seed(u)))
+        seeds.sort(key=lambda seed: seed[0])
+        return checkpoint, seeds
+
+    def _finish_run(self, result: SolverResult, session: int,
+                    run: "_Run") -> SolverResult:
+        """The exploration epilogue: cache write-back (when the result
+        is a pure function of the key), then the run's metrics and
+        profile."""
+        tracer = self.tracer
+        if run.cache_key is not None and self._cacheable(result):
+            _timed(run.profile, "cache.put", self.cache.put, "solver",
+                   run.cache_key, result.to_payload())
+            if tracer.enabled:
                 tracer.event(
                     "cache.write", category="cache", track="solver",
-                    key=self.cache.key_digest(cache_key)[:16])
-        if tracing:
-            profile.to_metrics(metrics)
+                    key=self.cache.key_digest(run.cache_key)[:16])
+        if tracer.enabled:
+            metrics = run.metrics
+            metrics.counter("solver.nodes_expanded").inc(session)
+            metrics.counter("solver.finite_solutions").inc(
+                len(result.finite_solutions))
+            metrics.counter("solver.dead_ends").inc(
+                len(result.dead_ends))
+            metrics.gauge("solver.frontier_size").set(
+                len(result.frontier))
+            run.profile.to_metrics(metrics)
             result.metrics = metrics.summary()
-            result.profile = profile.summary()
+            result.profile = run.profile.summary()
         return result
 
     @staticmethod
@@ -732,76 +635,9 @@ class SmoothSolutionSolver:
                          or result.truncation_reason.startswith(
                              "query")))
 
-    def _expand(self, u: Trace, gu: object,
-                metrics: Optional[MetricsRegistry],
-                profile: Optional[object] = None
-                ) -> list[tuple[Trace, object]]:
-        """The :meth:`children` computation against a precomputed
-        ``g(u)``, returning ``(v, f(v))`` pairs so each child's left
-        side is evaluated once and reused when the child is explored.
-        With ``metrics`` attached, also narrated: one ``solver.prune``
-        event per inadmissible candidate, branching and prune counts
-        into ``metrics``; with ``profile`` attached the candidate
-        scan's f-evaluation count and wall time are attributed to the
-        ``lhs.apply.expand`` site."""
-        f = self.description.lhs
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
-        events = self._candidate_events(u, gu)
-        kids: list[tuple[Trace, object]] = []
-        pruned = 0
-        for event in events:
-            v = u.append(event)
-            fv = f.apply(v)
-            if self.description._leq(fv, gu, self.limit_depth):
-                kids.append((v, fv))
-            else:
-                pruned += 1
-                if metrics is not None:
-                    self.tracer.event(
-                        "solver.prune", category="solver",
-                        track="solver", node=repr(u),
-                        candidate=repr(event), reason="f(v) ⋢ g(u)")
-        if metrics is not None:
-            metrics.counter("solver.candidates_proposed").inc(
-                len(events))
-            metrics.counter("solver.candidates_pruned").inc(pruned)
-            metrics.histogram("solver.branching").record(len(kids))
-        if profile is not None:
-            profile.add("lhs.apply.expand",
-                        time.perf_counter_ns() - t0,
-                        calls=len(events))
-            profile.note("proposed", len(events))
-            profile.note("pruned", pruned)
-        return kids
-
-    def _extendable(self, u: Trace, gu: object,
-                    profile: Optional[object] = None) -> bool:
-        """Does ``u`` have at least one admissible extension?  The
-        frontier probe: short-circuits at the first hit and reuses the
-        caller's ``g(u)``.  With ``profile``, the f evaluations spent
-        probing are attributed to ``lhs.apply.probe``."""
-        f = self.description.lhs
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
-        tried = 0
-        hit = False
-        for event in self._candidate_events(u, gu):
-            v = u.append(event)
-            tried += 1
-            if self.description._leq(f.apply(v), gu,
-                                     self.limit_depth):
-                hit = True
-                break
-        if profile is not None:
-            profile.add("lhs.apply.probe",
-                        time.perf_counter_ns() - t0, calls=tried)
-        return hit
-
-    @staticmethod
-    def _truncate(result: SolverResult,
-                  unvisited: list[tuple[Trace, object]],
-                  next_level: list[tuple[Trace, object]],
-                  reason: str) -> None:
-        """Mark ``result`` partial; park unexamined nodes.
+    def _park(self, result: SolverResult, reason: str,
+              traces: Iterable[Trace]) -> None:
+        """Mark ``result`` partial and park never-examined nodes.
 
         Parked nodes go on ``result.unvisited``, never the frontier:
         the frontier's documented invariant is "still has admissible
@@ -812,8 +648,11 @@ class SmoothSolutionSolver:
         """
         result.truncated = True
         result.truncation_reason = reason
-        result.unvisited.extend(u for u, _ in unvisited)
-        result.unvisited.extend(v for v, _ in next_level)
+        result.unvisited.extend(traces)
+        if self.tracer.enabled:
+            self.tracer.event(
+                "solver.truncate", category="solver", track="solver",
+                reason=reason, parked=len(result.unvisited))
 
     # -- strategy layer -------------------------------------------------------
 
@@ -853,61 +692,27 @@ class SmoothSolutionSolver:
                 chans.update(leaf)
         return tuple(sorted(chans, key=lambda c: c.name))
 
-    def _finish_run(self, result: SolverResult,
-                    cache_key: Optional[dict],
-                    metrics: Optional[MetricsRegistry],
-                    profile: Optional[object],
-                    tracing: bool) -> SolverResult:
-        """Shared exploration epilogue: cache write-back (when the
-        result is a pure function of the key) and metrics/profile
-        attachment."""
-        if cache_key is not None and self._cacheable(result):
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-                profile.add("cache.put",
-                            time.perf_counter_ns() - t0)
-            else:
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-            if tracing:
-                self.tracer.event(
-                    "cache.write", category="cache", track="solver",
-                    key=self.cache.key_digest(cache_key)[:16])
-        if tracing:
-            profile.to_metrics(metrics)
-            result.metrics = metrics.summary()
-            result.profile = profile.summary()
-        return result
-
     def _explore_ordered(self, engine, result: SolverResult,
-                         max_depth: int, max_nodes: int,
-                         budget_seconds: Optional[float],
-                         deadline: Optional[float],
-                         resume_from: Optional[object],
-                         metrics: Optional[MetricsRegistry],
-                         profile: Optional[object],
-                         cache_key: Optional[dict],
-                         watch: Optional[Callable[[Trace], str]]
-                         ) -> SolverResult:
-        """Priority-frontier exploration over either engine.
+                         seeds: list, run: "_Run") -> int:
+        """The §3.3 walk for ``bfs`` and ``best-first``, over either
+        engine; returns the number of nodes it explored.
 
-        The frontier is a heap of ``(rank, seq, ...)`` entries: the
-        configured heuristic ranks nodes, the monotone ``seq`` breaks
-        ties FIFO.  With the ``depth`` rank this *is* the reference
-        BFS — same pop order, same truncation parking — which is how
-        plain-BFS runs with duplicate-state reduction or a query watch
-        share this loop without perturbing digests.  ``g(u)`` is
-        evaluated at push time (the rank needs it); every pushed node
-        is popped on a completed run, so the one-``g``-per-node
-        discipline holds wherever the budget does not fire first.
+        The tree is fixed by admissibility, so the strategy only
+        decides which frontier node is popped next.  With the
+        ``depth`` rank (plain BFS) the frontier is a FIFO and ``g(u)``
+        is evaluated when ``u`` is popped.  Every other rank needs
+        ``g`` to place a node, so the frontier is a heap of ``(rank,
+        seq, …)`` entries evaluated at push, the monotone ``seq``
+        breaking ties FIFO; every pushed node is popped on a
+        completed run, so the one-``g``-per-node discipline holds
+        wherever the budget does not fire first.
 
-        With ``dedup`` on, ``g``, the limit verdict, the admissible
-        edge scan and the extendability probe are memoized per
-        per-channel projection — nodes are still enumerated and
-        classified one by one (the solution set is untouched), only
-        the evaluation work is shared.
+        Resumed seeds wait in ``pending`` until the FIFO reaches the
+        level before theirs, so they queue ahead of that depth's fresh
+        children — the straight run's order.  A budget that fires
+        parks every node not yet popped, at any depth, on
+        ``result.unvisited``.  With a tracer, a FIFO walk also
+        narrates its BFS levels (see :class:`_LevelLog`).
 
         ``watch`` is the query hook: called with each finite solution
         as it is classified; a truthy return value early-exits the
@@ -917,203 +722,132 @@ class SmoothSolutionSolver:
         """
         tracer = self.tracer
         tracing = tracer.enabled
+        max_depth, max_nodes = run.max_depth, run.max_nodes
+        deadline, watch = run.deadline, run.watch
         heuristic = get_heuristic(
             "depth" if self.strategy == "bfs" else self.heuristic)
+        fifo = heuristic.name == "depth"
         rank_fn = heuristic.fn
         needs_values = heuristic.needs_values
         needs_counts = heuristic.needs_counts
-        plain_depth = heuristic.name == "depth"
-        memo: Optional[dict] = {} if self.dedup else None
-        label = f"strategy.{self.strategy}"
-        explored = 0
-        heap: list = []
+        g, limit_fn, edges = engine.g, engine.limit, engine.edges
+        probe, trace_of = engine.probe, engine.trace
+        lens, counts = engine.lens, engine.counts
+        frontier = deque() if fifo else []
+        pending: dict = {}
         seq = 0
 
-        def entry_of(node) -> Optional[dict]:
-            if memo is None:
-                return None
-            key = engine.env_key(node)
-            if key is None:
-                return None
-            entry = memo.get(key)
-            if entry is None:
-                entry = {}
-                try:
-                    memo[key] = entry
-                except TypeError:
-                    return None
-                if profile is not None:
-                    profile.bump("dedup.states")
-            return entry
-
-        def g_of(node, entry):
-            if entry is not None and "g" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["g"]
-            gu = engine.g(node)
-            if entry is not None:
-                entry["g"] = gu
-            return gu
-
-        def edges_of(node, fu, gu, entry):
-            if entry is not None and "edges" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["edges"]
-            edges = engine.edges(node, fu, gu)
-            if entry is not None:
-                entry["edges"] = edges
-            return edges
-
-        def limit_of(node, fu, gu, entry):
-            if entry is not None and "limit" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["limit"]
-            limit = engine.limit(node, fu, gu)
-            if entry is not None:
-                entry["limit"] = limit
-            return limit
-
-        def ext_of(node, fu, gu, entry):
-            if entry is not None and "ext" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["ext"]
-            ext = engine.extendable(node, fu, gu)
-            if entry is not None:
-                entry["ext"] = ext
-            return ext
-
-        def push(node, fu, depth):
+        def push(depth, node, fu):
             nonlocal seq
-            entry = entry_of(node)
-            gu = g_of(node, entry)
-            if plain_depth:
-                rank = depth
-            else:
-                f_lens = engine.f_lens(fu) if needs_values else ()
-                g_lens = engine.g_lens(gu) if needs_values else ()
-                counts = engine.counts(node) if needs_counts else ()
-                rank = rank_fn(depth, f_lens, g_lens, counts)
-            heapq.heappush(heap, (rank, seq, depth, node, fu, gu))
+            gu = g(node)
+            rank = rank_fn(depth,
+                           lens(fu) if needs_values else (),
+                           lens(gu) if needs_values else (),
+                           counts(node) if needs_counts else ())
+            heapq.heappush(frontier, (rank, seq, depth, node, fu, gu))
             seq += 1
-            if profile is not None:
-                profile.bump(label + ".pushed")
 
         def park(reason: str) -> None:
-            result.truncated = True
-            result.truncation_reason = reason
-            while heap:
-                _r, _s, _d, node, _fu, _gu = heapq.heappop(heap)
-                result.unvisited.append(engine.trace(node))
-            if tracing:
-                tracer.event(
-                    "solver.truncate", category="solver",
-                    track="solver", reason=reason,
-                    parked=len(result.unvisited))
+            if fifo:
+                nodes = [node for node, _fu in frontier]
+                nodes += [node for d in sorted(pending)
+                          for node, _fu in pending[d]]
+            else:
+                nodes = [heapq.heappop(frontier)[3]
+                         for _ in range(len(frontier))]
+            self._park(result, reason, map(trace_of, nodes))
 
-        if resume_from is None:
-            node, fu = engine.root()
-            push(node, fu, 0)
-        else:
-            checkpoint = self._coerce_checkpoint(resume_from)
-            self._validate_checkpoint(checkpoint, max_depth)
-            seeds = engine.seeds(checkpoint, result)
-            explored = checkpoint.nodes_explored
-            if not seeds:
-                result.nodes_explored = explored
-                return result
-            for depth, node, fu in seeds:
-                push(node, fu, depth)
-        session = 0
-        with tracer.span("solver.explore", category="solver",
-                         track="solver", depth=max_depth,
-                         max_nodes=max_nodes,
-                         resumed=resume_from is not None,
-                         limit_depth=self.limit_depth) as root:
-            while heap:
-                reason = ""
-                if session >= max_nodes:
-                    reason = (f"node budget ({max_nodes}) "
-                              f"exhausted at depth {heap[0][2]}")
-                elif deadline is not None and \
-                        time.monotonic() > deadline:
-                    reason = (f"wall-clock budget "
-                              f"({budget_seconds}s) exhausted "
-                              f"at depth {heap[0][2]}")
-                if reason:
-                    park(reason)
-                    break
-                _rank, _s, depth, node, fu, gu = heapq.heappop(heap)
-                explored += 1
-                session += 1
-                if profile is not None:
-                    profile.bump(label + ".popped")
-                entry = entry_of(node)
-                limit = limit_of(node, fu, gu, entry)
-                trace = engine.trace(node)
-                if depth < max_depth:
-                    kids = [(engine.child(node, edge), fv)
-                            for edge, fv in
-                            edges_of(node, fu, gu, entry)]
-                else:
-                    kids = None
-                if limit:
-                    result.finite_solutions.append(trace)
-                    if tracing:
-                        tracer.event(
-                            "solver.accept", category="solver",
-                            track="solver", node=repr(trace),
-                            depth=depth)
-                if kids is None:
-                    # at the bound: frontier if extendable
-                    if ext_of(node, fu, gu, entry):
-                        result.frontier.append(trace)
-                    elif not limit:
-                        result.dead_ends.append(trace)
-                else:
-                    if not kids and not limit:
-                        result.dead_ends.append(trace)
-                        if tracing:
-                            tracer.event(
-                                "solver.dead_end", category="solver",
-                                track="solver", node=repr(trace),
-                                depth=depth)
-                    for cnode, fv in kids:
-                        push(cnode, fv, depth + 1)
-                if limit and watch is not None:
-                    stop = watch(trace)
-                    if stop:
-                        park(stop)
+        for depth, node, fu in seeds:
+            if fifo:
+                pending.setdefault(depth, []).append((node, fu))
+            else:
+                push(depth, node, fu)
+        levels = (_LevelLog(tracer, run.metrics, run.profile, result)
+                  if fifo and tracing else None)
+        session = depth = left = 0
+        while True:
+            if fifo:
+                if not left:
+                    # the level is done: the next one is everything
+                    # queued behind it, else the shallowest pending
+                    if levels is not None:
+                        levels.end(session, len(frontier))
+                    if frontier:
+                        depth += 1
+                    elif pending:
+                        depth = min(pending)
+                        frontier.extend(pending.pop(depth))
+                    else:
                         break
-            result.nodes_explored = explored
-            if tracing:
-                metrics.counter("solver.nodes_expanded").inc(session)
-                metrics.counter("solver.finite_solutions").inc(
-                    len(result.finite_solutions))
-                metrics.counter("solver.dead_ends").inc(
-                    len(result.dead_ends))
-                metrics.gauge("solver.frontier_size").set(
-                    len(result.frontier))
-                root.annotate(nodes=explored,
-                              solutions=len(result.finite_solutions),
-                              truncated=result.truncated)
-        return self._finish_run(result, cache_key, metrics, profile,
-                                tracing)
+                    left = len(frontier)
+                    frontier.extend(pending.pop(depth + 1, ()))
+                    if levels is not None:
+                        levels.start(depth, left, session)
+            elif frontier:
+                depth = frontier[0][2]
+            else:
+                break
+            if session >= max_nodes or (
+                    deadline is not None and time.monotonic() > deadline):
+                park(_budget_reason(session, run, depth))
+                break
+            session += 1
+            if fifo:
+                left -= 1
+                node, fu = frontier.popleft()
+                gu = g(node)
+            else:
+                _rank, _seq, depth, node, fu, gu = heapq.heappop(frontier)
+            limit = limit_fn(node, fu, gu)
+            kids = edges(node, fu, gu) if depth < max_depth else None
+            trace = None
+            if limit:
+                trace = trace_of(node)
+                result.finite_solutions.append(trace)
+                if tracing:
+                    tracer.event(
+                        "solver.accept", category="solver",
+                        track="solver", node=repr(trace), depth=depth)
+            if kids is None:
+                # at the bound: frontier if extendable
+                if probe(node, fu, gu)[0]:
+                    result.frontier.append(
+                        trace if limit else trace_of(node))
+                elif not limit:
+                    result.dead_ends.append(trace_of(node))
+            elif kids:
+                if fifo:
+                    frontier.extend(kids)
+                else:
+                    for child, fv in kids:
+                        push(depth + 1, child, fv)
+            elif not limit:
+                trace = trace_of(node)
+                result.dead_ends.append(trace)
+                if tracing:
+                    tracer.event(
+                        "solver.dead_end", category="solver",
+                        track="solver", node=repr(trace), depth=depth)
+            if limit and watch is not None:
+                stop = watch(trace)
+                if stop:
+                    park(stop)
+                    break
+        if tracing:
+            if levels is not None:
+                levels.end(session, len(frontier) - left)
+            label = f"strategy.{self.strategy}"
+            # every pushed node was popped or parked
+            run.profile.bump(label + ".pushed",
+                             session + len(result.unvisited))
+            run.profile.bump(label + ".popped", session)
+        return session
 
     def _explore_deepening(self, engine, result: SolverResult,
-                           max_depth: int, max_nodes: int,
-                           budget_seconds: Optional[float],
-                           deadline: Optional[float],
-                           resume_from: Optional[object],
-                           metrics: Optional[MetricsRegistry],
-                           profile: Optional[object],
-                           cache_key: Optional[dict],
-                           watch: Optional[Callable[[Trace], str]]
-                           ) -> SolverResult:
-        """Iterative deepening over either engine.
+                           seeds: list, checkpoint,
+                           run: "_Run") -> int:
+        """Iterative deepening over either engine; returns the number
+        of nodes it goal-tested.
 
         Iteration ``L`` walks depth-first from the persistent seeds
         (the root, or a checkpoint's parked nodes) and *goal-tests* —
@@ -1135,547 +869,97 @@ class SmoothSolutionSolver:
         """
         tracer = self.tracer
         tracing = tracer.enabled
-        memo: Optional[dict] = {} if self.dedup else None
-        explored = 0
-
-        def entry_of(node) -> Optional[dict]:
-            if memo is None:
-                return None
-            key = engine.env_key(node)
-            if key is None:
-                return None
-            entry = memo.get(key)
-            if entry is None:
-                entry = {}
-                try:
-                    memo[key] = entry
-                except TypeError:
-                    return None
-                if profile is not None:
-                    profile.bump("dedup.states")
-            return entry
-
-        def g_of(node, entry):
-            if entry is not None and "g" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["g"]
-            gu = engine.g(node)
-            if entry is not None:
-                entry["g"] = gu
-            return gu
-
-        def edges_of(node, fu, gu, entry):
-            if entry is not None and "edges" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["edges"]
-            edges = engine.edges(node, fu, gu)
-            if entry is not None:
-                entry["edges"] = edges
-            return edges
-
-        def limit_of(node, fu, gu, entry):
-            if entry is not None and "limit" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["limit"]
-            limit = engine.limit(node, fu, gu)
-            if entry is not None:
-                entry["limit"] = limit
-            return limit
-
-        def ext_of(node, fu, gu, entry):
-            if entry is not None and "ext" in entry:
-                if profile is not None:
-                    profile.bump("dedup.hits")
-                return entry["ext"]
-            ext = engine.extendable(node, fu, gu)
-            if entry is not None:
-                entry["ext"] = ext
-            return ext
-
+        max_depth, max_nodes = run.max_depth, run.max_nodes
+        deadline, watch = run.deadline, run.watch
+        g, limit_fn, edges = engine.g, engine.limit, engine.edges
+        probe, trace_of = engine.probe, engine.trace
+        meta = {} if checkpoint is None else checkpoint.meta
+        tested = {tuple(map(tuple, key)) for key in meta.get("tested", [])}
         # persistent seeds: (depth, node, fu, tested); each iteration
         # restarts its DFS from here (classic deepening rework)
-        if resume_from is None:
-            node, fu = engine.root()
-            seeds = [(0, node, fu, False)]
-            start_iteration = 0
-        else:
-            checkpoint = self._coerce_checkpoint(resume_from)
-            self._validate_checkpoint(checkpoint, max_depth)
-            tested_keys = {
-                tuple(tuple(e) for e in key)
-                for key in checkpoint.meta.get("tested", [])}
-            raw = engine.seeds(checkpoint, result)
-            explored = checkpoint.nodes_explored
-            if not raw:
-                result.nodes_explored = explored
-                return result
-            seeds = []
-            for depth, node, fu in raw:
-                key = tuple(tuple(e) for e in
-                            _trace_key(engine.trace(node)))
-                seeds.append((depth, node, fu, key in tested_keys))
-            start_iteration = int(checkpoint.meta.get(
-                "iteration", min(d for d, _n, _f, _t in seeds)))
-        session = 0
-        with tracer.span("solver.explore", category="solver",
-                         track="solver", depth=max_depth,
-                         max_nodes=max_nodes,
-                         resumed=resume_from is not None,
-                         limit_depth=self.limit_depth) as root:
-            for iteration in range(start_iteration, max_depth + 1):
-                goal_tested = 0
-                alive: list = []      # tested this iteration, extendable
-                held: list = []       # seeds sitting this iteration out
-                stack: list = []
-                for sd in seeds:
-                    d, node, fu, tested = sd
-                    if d > iteration or (tested and d == iteration):
-                        held.append(sd)
-                    else:
-                        stack.append((d, node, fu))
-                stack.reverse()
-
-                def park(reason: str) -> None:
-                    result.truncated = True
-                    result.truncation_reason = reason
-                    tested_marks: list = []
-                    for d, node, fu in stack:
-                        result.unvisited.append(engine.trace(node))
-                    for d, node, fu in alive:
-                        trace = engine.trace(node)
-                        result.unvisited.append(trace)
-                        tested_marks.append(_trace_key(trace))
-                    for d, node, fu, tested in held:
-                        trace = engine.trace(node)
-                        result.unvisited.append(trace)
-                        if tested:
-                            tested_marks.append(_trace_key(trace))
-                    result.strategy_meta = {
-                        "strategy": "iterative-deepening",
-                        "iteration": iteration,
-                        "tested": tested_marks,
-                    }
+        marked = [(d, node, fu,
+                   tuple(map(tuple, _trace_key(trace_of(node)))) in tested)
+                  for d, node, fu in seeds]
+        start = int(meta.get("iteration",
+                             min((d for d, *_ in seeds), default=0)))
+        session = rework = 0
+        for iteration in range(start, max_depth + 1):
+            alive: list = []      # tested this iteration, extendable
+            held: list = []       # seeds sitting this iteration out
+            stack: list = []
+            for seed in marked:
+                d, node, fu, was_tested = seed
+                if d > iteration or (was_tested and d == iteration):
+                    held.append(seed)
+                else:
+                    stack.append((d, node, fu))
+            stack.reverse()
+            stop = ""
+            while stack:
+                d, node, fu = stack.pop()
+                if d < iteration:
+                    # interior rework: re-derive the children on the
+                    # way down to this iteration's depth
+                    rework += 1
+                    kids = edges(node, fu, g(node))
+                    stack.extend((d + 1, child, fv)
+                                 for child, fv in reversed(kids))
+                    continue
+                if session >= max_nodes or (
+                        deadline is not None
+                        and time.monotonic() > deadline):
+                    stack.append((d, node, fu))
+                    stop = _budget_reason(session, run, iteration)
+                    break
+                session += 1
+                gu = g(node)
+                limit = limit_fn(node, fu, gu)
+                trace = trace_of(node)
+                if limit:
+                    result.finite_solutions.append(trace)
                     if tracing:
                         tracer.event(
-                            "solver.truncate", category="solver",
-                            track="solver", reason=reason,
-                            parked=len(result.unvisited))
-
-                truncated = False
-                while stack:
-                    d, node, fu = stack.pop()
-                    entry = entry_of(node)
-                    if d < iteration:
-                        # interior rework: re-derive the children on
-                        # the way down to this iteration's depth
-                        gu = g_of(node, entry)
-                        kids = [(engine.child(node, edge), fv)
-                                for edge, fv in
-                                edges_of(node, fu, gu, entry)]
-                        if profile is not None:
-                            profile.bump(
-                                "strategy.iterative-deepening.rework")
-                        for cnode, fv in reversed(kids):
-                            stack.append((d + 1, cnode, fv))
-                        continue
-                    reason = ""
-                    if session >= max_nodes:
-                        reason = (f"node budget ({max_nodes}) "
-                                  f"exhausted at depth {iteration}")
-                    elif deadline is not None and \
-                            time.monotonic() > deadline:
-                        reason = (f"wall-clock budget "
-                                  f"({budget_seconds}s) exhausted "
-                                  f"at depth {iteration}")
-                    if reason:
-                        stack.append((d, node, fu))
-                        park(reason)
-                        truncated = True
-                        break
-                    explored += 1
-                    session += 1
-                    goal_tested += 1
-                    gu = g_of(node, entry)
-                    limit = limit_of(node, fu, gu, entry)
-                    trace = engine.trace(node)
-                    if limit:
-                        result.finite_solutions.append(trace)
+                            "solver.accept", category="solver",
+                            track="solver", node=repr(trace), depth=d)
+                if iteration < max_depth:
+                    if edges(node, fu, gu):
+                        alive.append((d, node, fu))
+                    elif not limit:
+                        result.dead_ends.append(trace)
                         if tracing:
                             tracer.event(
-                                "solver.accept", category="solver",
+                                "solver.dead_end", category="solver",
                                 track="solver", node=repr(trace),
                                 depth=d)
-                    if iteration < max_depth:
-                        kids = edges_of(node, fu, gu, entry)
-                        if kids:
-                            alive.append((d, node, fu))
-                        elif not limit:
-                            result.dead_ends.append(trace)
-                            if tracing:
-                                tracer.event(
-                                    "solver.dead_end",
-                                    category="solver", track="solver",
-                                    node=repr(trace), depth=d)
-                    else:
-                        if ext_of(node, fu, gu, entry):
-                            result.frontier.append(trace)
-                        elif not limit:
-                            result.dead_ends.append(trace)
-                    if limit and watch is not None:
-                        stop = watch(trace)
-                        if stop:
-                            park(stop)
-                            truncated = True
-                            break
-                if truncated:
-                    break
-                if not alive and not held:
-                    # no deeper nodes exist and no seed waits for a
-                    # later iteration: the tree is exhausted
-                    break
-            result.nodes_explored = explored
-            if tracing:
-                metrics.counter("solver.nodes_expanded").inc(session)
-                metrics.counter("solver.finite_solutions").inc(
-                    len(result.finite_solutions))
-                metrics.counter("solver.dead_ends").inc(
-                    len(result.dead_ends))
-                metrics.gauge("solver.frontier_size").set(
-                    len(result.frontier))
-                root.annotate(nodes=explored,
-                              solutions=len(result.finite_solutions),
-                              truncated=result.truncated)
-        return self._finish_run(result, cache_key, metrics, profile,
-                                tracing)
-
-    # -- compiled engine ------------------------------------------------------
-
-    def _explore_compiled(self, compiled, result: SolverResult,
-                          max_depth: int, max_nodes: int,
-                          budget_seconds: Optional[float],
-                          deadline: Optional[float],
-                          resume_from: Optional[object],
-                          metrics: Optional[MetricsRegistry],
-                          profile: Optional[object],
-                          cache_key: Optional[dict]) -> SolverResult:
-        """The :meth:`explore` BFS over the packed representation.
-
-        Same traversal, same truncation points, same tracer events and
-        profile sites as the reference loop — only the representation
-        differs.  A node is ``(packed, env, f(u), parent g(u), last
-        cid)``: the packed trace, its per-channel environment, the
-        left value carried from the parent's scan, and what is needed
-        to re-evaluate ``g`` incrementally.  The right side is
-        evaluated for a whole level in one batch (chunked to the node
-        budget so truncation points stay deterministic; with a
-        wall-clock deadline the evaluation is per-node, as the
-        reference's per-node clock checks are), components whose read
-        set excludes the appended channel reuse the parent's value,
-        and ``f(v) ⊑ g(u)`` is a compiled prefix test on flat tuples.
-        Packed traces are unpacked only at the API boundary — same
-        event objects in the same BFS order as the reference path, so
-        digests, checkpoints and cache payloads are bit-identical.
-        """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        table = compiled.table
-        actions = compiled.actions
-        lhs, rhs, leq = compiled.lhs, compiled.rhs, compiled.leq
-        # loop-invariant lookups hoisted out of the per-node work;
-        # acts carries the raw message so the one-slot environment
-        # surgery below needs no table call per candidate
-        lhs_after = lhs.after
-        rhs_after = rhs.after
-        acts = tuple((pair, pair[0], table.messages[pair[1]], event)
-                     for pair, _cid, event in actions)
-        fin_packed: list[tuple] = []
-        frontier_packed: list[tuple] = []
-        dead_packed: list[tuple] = []
-        parked_packed: list[tuple] = []
-        pending: dict[int, list[tuple]] = {}
-        explored = 0
-        if resume_from is None:
-            start_depth = 0
-            root_env = compiled.root_env
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                root_f = lhs.eval(root_env)
-                profile.add("lhs.apply.root",
-                            time.perf_counter_ns() - t0)
-            else:
-                root_f = lhs.eval(root_env)
-            level: list[tuple] = [((), root_env, root_f, None, -1)]
-        else:
-            checkpoint = self._coerce_checkpoint(resume_from)
-            self._validate_checkpoint(checkpoint, max_depth)
-            pending = self._resume_seeds_packed(
-                checkpoint, result, compiled)
-            explored = checkpoint.nodes_explored
-            if not pending:
-                result.nodes_explored = explored
-                return result
-            start_depth = min(pending)
-            level = pending.pop(start_depth)
-        session_explored = 0
-        with tracer.span("solver.explore", category="solver",
-                         track="solver", depth=max_depth,
-                         max_nodes=max_nodes,
-                         resumed=resume_from is not None,
-                         limit_depth=self.limit_depth) as root:
-            for depth in range(start_depth, max_depth + 1):
-                with tracer.span("solver.level", category="solver",
-                                 track="solver", depth=depth,
-                                 width=len(level)):
-                    if profile is not None:
-                        level_t0 = time.perf_counter_ns()
-                        level_explored = session_explored
-                        level_accepted = len(fin_packed)
-                        level_dead = len(dead_packed)
-                    next_level: list[tuple] = pending.pop(depth + 1, [])
-                    width = len(level)
-                    budget_left = max_nodes - session_explored
-                    n_ready = (width if budget_left >= width
-                               else max(budget_left, 0))
-                    gs = None
-                    if deadline is None and n_ready:
-                        # batched g over the level: one pass instead
-                        # of a per-node call, chunked to the node
-                        # budget so exactly the nodes the reference
-                        # would visit are evaluated
-                        ready = (level if n_ready == width
-                                 else level[:n_ready])
-                        if profile is not None:
-                            t0 = time.perf_counter_ns()
-                            gs = [rhs.eval(env) if pgu is None
-                                  else rhs_after[cid](env, pgu)
-                                  for (_p, env, _f, pgu, cid) in ready]
-                            profile.add("rhs.apply",
-                                        time.perf_counter_ns() - t0,
-                                        calls=n_ready)
-                        else:
-                            gs = [rhs.eval(env) if pgu is None
-                                  else rhs_after[cid](env, pgu)
-                                  for (_p, env, _f, pgu, cid) in ready]
-                    for i in range(width):
-                        reason = ""
-                        if i >= n_ready:
-                            reason = (f"node budget ({max_nodes}) "
-                                      f"exhausted at depth {depth}")
-                        elif deadline is not None and \
-                                time.monotonic() > deadline:
-                            reason = (f"wall-clock budget "
-                                      f"({budget_seconds}s) exhausted "
-                                      f"at depth {depth}")
-                        if reason:
-                            result.truncated = True
-                            result.truncation_reason = reason
-                            parked_packed.extend(
-                                n[0] for n in level[i:])
-                            parked_packed.extend(
-                                n[0] for n in next_level)
-                            if tracing:
-                                tracer.event(
-                                    "solver.truncate",
-                                    category="solver", track="solver",
-                                    reason=reason,
-                                    parked=len(parked_packed))
-                            break
-                        packed, env, fu, pgu, cid = level[i]
-                        explored += 1
-                        session_explored += 1
-                        if gs is not None:
-                            gu = gs[i]
-                        elif profile is not None:
-                            t0 = time.perf_counter_ns()
-                            gu = (rhs.eval(env) if pgu is None
-                                  else rhs_after[cid](env, pgu))
-                            profile.add("rhs.apply",
-                                        time.perf_counter_ns() - t0)
-                        else:
-                            gu = (rhs.eval(env) if pgu is None
-                                  else rhs_after[cid](env, pgu))
-                        if profile is not None:
-                            t0 = time.perf_counter_ns()
-                            limit = fu == gu
-                            profile.add("limit_report",
-                                        time.perf_counter_ns() - t0)
-                        else:
-                            # the limit condition f(u) = g(u): exact
-                            # equality, because both values are finite
-                            limit = fu == gu
-                        u_repr = (repr(table.unpack(packed))
-                                  if tracing else "")
-                        if depth < max_depth:
-                            t0 = (time.perf_counter_ns()
-                                  if profile is not None else 0)
-                            kids: Optional[list[tuple]] = []
-                            pruned = 0
-                            for pair, acid, msg, event in acts:
-                                env_v = (env[:acid]
-                                         + (env[acid] + (msg,),)
-                                         + env[acid + 1:])
-                                fv = lhs_after[acid](env_v, fu)
-                                if leq(fv, gu):
-                                    kids.append(
-                                        (packed + (pair,), env_v, fv,
-                                         gu, acid))
-                                else:
-                                    pruned += 1
-                                    if metrics is not None:
-                                        tracer.event(
-                                            "solver.prune",
-                                            category="solver",
-                                            track="solver",
-                                            node=u_repr,
-                                            candidate=repr(event),
-                                            reason="f(v) ⋢ g(u)")
-                            if metrics is not None:
-                                metrics.counter(
-                                    "solver.candidates_proposed").inc(
-                                        len(actions))
-                                metrics.counter(
-                                    "solver.candidates_pruned").inc(
-                                        pruned)
-                                metrics.histogram(
-                                    "solver.branching").record(
-                                        len(kids))
-                            if profile is not None:
-                                profile.add(
-                                    "lhs.apply.expand",
-                                    time.perf_counter_ns() - t0,
-                                    calls=len(actions))
-                                profile.note("proposed", len(actions))
-                                profile.note("pruned", pruned)
-                        else:
-                            kids = None
-                        if limit:
-                            fin_packed.append(packed)
-                            if tracing:
-                                tracer.event(
-                                    "solver.accept",
-                                    category="solver", track="solver",
-                                    node=u_repr, depth=depth)
-                        if kids is None:
-                            # at the bound: frontier if extendable
-                            # (short-circuit probe, g(u) reused)
-                            t0 = (time.perf_counter_ns()
-                                  if profile is not None else 0)
-                            tried = 0
-                            hit = False
-                            for pair, acid, msg, _event in acts:
-                                env_v = (env[:acid]
-                                         + (env[acid] + (msg,),)
-                                         + env[acid + 1:])
-                                tried += 1
-                                if leq(lhs_after[acid](env_v, fu), gu):
-                                    hit = True
-                                    break
-                            if profile is not None:
-                                profile.add(
-                                    "lhs.apply.probe",
-                                    time.perf_counter_ns() - t0,
-                                    calls=tried)
-                            if hit:
-                                frontier_packed.append(packed)
-                            elif not limit:
-                                dead_packed.append(packed)
-                            continue
-                        if not kids and not limit:
-                            dead_packed.append(packed)
-                            if tracing:
-                                tracer.event(
-                                    "solver.dead_end",
-                                    category="solver", track="solver",
-                                    node=u_repr, depth=depth)
-                        next_level.extend(kids)
-                    if tracing:
-                        metrics.gauge("solver.level_width").set(
-                            len(next_level))
-                        profile.note(
-                            "expanded",
-                            session_explored - level_explored)
-                        profile.note(
-                            "accepted", len(fin_packed) - level_accepted)
-                        profile.note(
-                            "dead_ends", len(dead_packed) - level_dead)
-                        profile.end_level(
-                            depth, len(level),
-                            time.perf_counter_ns() - level_t0)
-                    level = next_level
-                if result.truncated or not level:
-                    break
-            result.nodes_explored = explored
-            # unpack at the API boundary: the same Event objects in
-            # the same BFS order the reference path would append, so
-            # everything downstream is bit-identical
-            unpack = table.unpack
-            result.finite_solutions.extend(
-                unpack(p) for p in fin_packed)
-            result.frontier.extend(unpack(p) for p in frontier_packed)
-            result.dead_ends.extend(unpack(p) for p in dead_packed)
-            result.unvisited.extend(unpack(p) for p in parked_packed)
-            if tracing:
-                metrics.counter("solver.nodes_expanded").inc(
-                    session_explored)
-                metrics.counter("solver.finite_solutions").inc(
-                    len(result.finite_solutions))
-                metrics.counter("solver.dead_ends").inc(
-                    len(result.dead_ends))
-                metrics.gauge("solver.frontier_size").set(
-                    len(result.frontier))
-                root.annotate(nodes=explored,
-                              solutions=len(result.finite_solutions),
-                              truncated=result.truncated)
-        if cache_key is not None and self._cacheable(result):
-            if profile is not None:
-                t0 = time.perf_counter_ns()
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-                profile.add("cache.put",
-                            time.perf_counter_ns() - t0)
-            else:
-                self.cache.put("solver", cache_key,
-                               result.to_payload())
-            if tracing:
-                tracer.event(
-                    "cache.write", category="cache", track="solver",
-                    key=self.cache.key_digest(cache_key)[:16])
-        if tracing:
-            profile.to_metrics(metrics)
-            result.metrics = metrics.summary()
-            result.profile = profile.summary()
-        return result
-
-    def _resume_seeds_packed(self, checkpoint, result: SolverResult,
-                             compiled) -> dict[int, list[tuple]]:
-        """Checkpoint resume for the compiled engine.
-
-        Carried traces are replayed exactly as in
-        :meth:`_resume_seeds` — witness-path validation through the
-        live description, on the reference path, so a corrupt
-        checkpoint is caught identically — and the unvisited seeds
-        are then packed, with their ``f`` values computed by the
-        compiled closures.
-        """
-        result.finite_solutions.extend(
-            self._walk_path(key) for key in checkpoint.finite_solutions)
-        result.frontier.extend(
-            self._walk_path(key) for key in checkpoint.frontier)
-        result.dead_ends.extend(
-            self._walk_path(key) for key in checkpoint.dead_ends)
-        table = compiled.table
-        lhs = compiled.lhs
-        seeds: dict[int, list[tuple]] = {}
-        for key in checkpoint.unvisited:
-            u = self._walk_path(key)
-            packed = table.pack(u)
-            env = table.env_of(packed)
-            seeds.setdefault(len(packed), []).append(
-                (packed, env, lhs.eval(env), None, -1))
-        return seeds
+                elif probe(node, fu, gu)[0]:
+                    result.frontier.append(trace)
+                elif not limit:
+                    result.dead_ends.append(trace)
+                if limit and watch is not None:
+                    stop = watch(trace)
+                    if stop:
+                        break
+            if stop:
+                parked = ([(node, False) for _d, node, _fu in stack]
+                          + [(node, True) for _d, node, _fu in alive]
+                          + [(node, t) for _d, node, _fu, t in held])
+                traces = [trace_of(node) for node, _t in parked]
+                self._park(result, stop, traces)
+                result.strategy_meta = {
+                    "strategy": "iterative-deepening",
+                    "iteration": iteration,
+                    "tested": [_trace_key(trace) for trace, (_n, t)
+                               in zip(traces, parked) if t],
+                }
+                break
+            if not alive and not held:
+                # no deeper nodes exist and no seed waits for a later
+                # iteration: the tree is exhausted
+                break
+        if rework and tracing:
+            run.profile.bump("strategy.iterative-deepening.rework",
+                             rework)
+        return session
 
     # -- checkpoint / resume --------------------------------------------------
 
@@ -1724,32 +1008,6 @@ class SmoothSolutionSolver:
                 f"exploration and must be resumed with it (this "
                 f"solver uses strategy {self.strategy!r})")
 
-    def _resume_seeds(self, checkpoint, result: SolverResult
-                      ) -> dict[int, list[tuple[Trace, object]]]:
-        """Rebuild a checkpoint's carried traces into ``result`` and
-        return the BFS seeds.
-
-        Every trace key is replayed as a witness path (each step must
-        be an admissible extension), so a checkpoint that does not
-        describe this description's §3.3 tree raises
-        :class:`~repro.obs.replay.ReplayDivergence` instead of
-        silently seeding garbage.  For the unvisited seeds the carried
-        ``f(u)`` values are recomputed — the price of keeping
-        checkpoints pure JSON — and the seeds are grouped by depth
-        (= trace length) for re-entry into the level loop.
-        """
-        result.finite_solutions.extend(
-            self._walk_path(key) for key in checkpoint.finite_solutions)
-        result.frontier.extend(
-            self._walk_path(key) for key in checkpoint.frontier)
-        result.dead_ends.extend(
-            self._walk_path(key) for key in checkpoint.dead_ends)
-        f = self.description.lhs
-        seeds: dict[int, list[tuple[Trace, object]]] = {}
-        for key in checkpoint.unvisited:
-            u = self._walk_path(key)
-            seeds.setdefault(u.length(), []).append((u, f.apply(u)))
-        return seeds
 
     def _result_from_payload(self, payload: dict
                              ) -> Optional[SolverResult]:
@@ -1965,109 +1223,155 @@ class SmoothSolutionSolver:
         )
 
 
-class _ReferenceEngine:
-    """Strategy-loop adapter over the reference representation.
+class _Run(NamedTuple):
+    """One :meth:`SmoothSolutionSolver.explore` call's bounds and
+    instruments, as the walks see them."""
 
-    Nodes are live :class:`Trace` objects; values are whatever the
-    description's sides produce.  All evaluation is attributed to the
-    same profile sites as the legacy loops (``rhs.apply``,
-    ``limit_report``, ``lhs.apply.expand``/``probe``/``root``), so the
-    memo-discipline pins in ``tests/core/test_solver_memo.py`` apply
-    unchanged.
-    """
+    max_depth: int
+    max_nodes: int
+    budget_seconds: Optional[float]
+    deadline: Optional[float]
+    resume_from: Optional[object]
+    watch: Optional[Callable[[Trace], str]]
+    metrics: Optional[MetricsRegistry]
+    profile: Optional[object]
+    cache_key: Optional[dict]
 
-    __slots__ = ("solver", "metrics", "profile", "names", "_name_set")
 
-    def __init__(self, solver: "SmoothSolutionSolver", metrics,
-                 profile) -> None:
-        self.solver = solver
+def _budget_reason(session: int, run: _Run, depth: int) -> str:
+    """Which resource guard stopped the walk before a node at
+    ``depth``."""
+    if session >= run.max_nodes:
+        return f"node budget ({run.max_nodes}) exhausted at depth {depth}"
+    return (f"wall-clock budget ({run.budget_seconds}s) exhausted "
+            f"at depth {depth}")
+
+
+def _timed(profile, site: str, fn: Callable, *args):
+    """``fn(*args)``, its wall time attributed to ``site`` when a
+    profile is attached."""
+    if profile is None:
+        return fn(*args)
+    t0 = time.perf_counter_ns()
+    out = fn(*args)
+    profile.add(site, time.perf_counter_ns() - t0)
+    return out
+
+
+class _LevelLog:
+    """The BFS levels of a traced FIFO walk: one ``solver.level`` span
+    and one entry of the profile's per-level series (width, nodes
+    expanded, solutions accepted, dead ends) per level."""
+
+    __slots__ = ("tracer", "metrics", "profile", "result", "span",
+                 "depth", "width", "base", "t0")
+
+    def __init__(self, tracer: Tracer, metrics, profile,
+                 result: SolverResult) -> None:
+        self.tracer = tracer
         self.metrics = metrics
         self.profile = profile
+        self.result = result
+        self.span = None
+
+    def start(self, depth: int, width: int, session: int) -> None:
+        self.span = self.tracer.span(
+            "solver.level", category="solver", track="solver",
+            depth=depth, width=width)
+        self.span.__enter__()
+        self.depth, self.width = depth, width
+        self.base = (session, len(self.result.finite_solutions),
+                     len(self.result.dead_ends))
+        self.t0 = time.perf_counter_ns()
+
+    def end(self, session: int, next_width: int) -> None:
+        """Close the open level, if any; ``next_width`` nodes are
+        queued for the next one."""
+        if self.span is None:
+            return
+        explored, accepted, dead = self.base
+        self.metrics.gauge("solver.level_width").set(next_width)
+        self.profile.note("expanded", session - explored)
+        self.profile.note(
+            "accepted", len(self.result.finite_solutions) - accepted)
+        self.profile.note("dead_ends",
+                          len(self.result.dead_ends) - dead)
+        self.profile.end_level(self.depth, self.width,
+                               time.perf_counter_ns() - self.t0)
+        self.span.__exit__(None, None, None)
+        self.span = None
+
+
+class _ReferenceEngine:
+    """The walks' view of the reference representation.
+
+    Nodes are live :class:`Trace` objects; values are whatever the
+    description's sides produce.  Both engines answer the same calls:
+    ``seed`` (a trace as a node, with its ``f``), ``g``, ``limit``,
+    ``edges`` (the admissible children as ``(child, f(child))``
+    pairs, built once; pruned candidates go to ``pruned`` when a list
+    is passed), ``rebase`` (another node's children re-hung under a
+    node with the same per-channel projection), ``probe`` (the
+    short-circuit frontier test, with the number of candidates it
+    tried), ``trace``, ``env_key`` and the ranking features
+    ``lens``/``counts``.  Cost attribution and duplicate-state
+    reduction wrap an engine (:class:`_ProfiledEngine`,
+    :class:`_DedupEngine`).
+    """
+
+    __slots__ = ("solver", "description", "names", "_name_set")
+
+    def __init__(self, solver: "SmoothSolutionSolver") -> None:
+        self.solver = solver
+        self.description = solver.description
         self.names = tuple(c.name
                            for c in solver._channel_universe())
         self._name_set = frozenset(self.names)
 
-    def root(self):
-        solver = self.solver
-        trace = Trace.empty()
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            fu = solver.description.lhs.apply(trace)
-            self.profile.add("lhs.apply.root",
-                             time.perf_counter_ns() - t0)
-        else:
-            fu = solver.description.lhs.apply(trace)
-        return trace, fu
+    def seed(self, trace: Trace) -> tuple:
+        return trace, self.description.lhs.apply(trace)
 
     def g(self, node: Trace):
-        solver = self.solver
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            gu = solver.description.rhs.apply(node)
-            self.profile.add("rhs.apply",
-                             time.perf_counter_ns() - t0)
-            return gu
-        return solver.description.rhs.apply(node)
+        return self.description.rhs.apply(node)
 
     def limit(self, node: Trace, fu, gu) -> bool:
-        solver = self.solver
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            holds = solver.description.limit_report(
-                node, solver.limit_depth,
-                lhs_value=fu, rhs_value=gu).holds
-            self.profile.add("limit_report",
-                             time.perf_counter_ns() - t0)
-            return holds
-        return solver.description.limit_report(
-            node, solver.limit_depth,
+        return self.description.limit_report(
+            node, self.solver.limit_depth,
             lhs_value=fu, rhs_value=gu).holds
 
-    def edges(self, node: Trace, fu, gu) -> list:
-        """The admissible extensions as ``(event, f(v))`` pairs —
-        node-independent given the per-channel projection, which is
-        what makes them memoizable under dedup."""
-        solver = self.solver
-        f = solver.description.lhs
-        profile = self.profile
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
-        events = solver._candidate_events(node, gu)
-        out: list = []
-        pruned = 0
-        for event in events:
+    def edges(self, node: Trace, fu, gu,
+              pruned: Optional[list] = None) -> list:
+        description = self.description
+        f = description.lhs
+        depth = self.solver.limit_depth
+        kids = []
+        for event in self.solver._candidate_events(node, gu):
             v = node.append(event)
             fv = f.apply(v)
-            if solver.description._leq(fv, gu, solver.limit_depth):
-                out.append((event, fv))
-            else:
-                pruned += 1
-                if self.metrics is not None:
-                    solver.tracer.event(
-                        "solver.prune", category="solver",
-                        track="solver", node=repr(node),
-                        candidate=repr(event), reason="f(v) ⋢ g(u)")
-        if self.metrics is not None:
-            self.metrics.counter(
-                "solver.candidates_proposed").inc(len(events))
-            self.metrics.counter(
-                "solver.candidates_pruned").inc(pruned)
-            self.metrics.histogram(
-                "solver.branching").record(len(out))
-        if profile is not None:
-            profile.add("lhs.apply.expand",
-                        time.perf_counter_ns() - t0,
-                        calls=len(events))
-            profile.note("proposed", len(events))
-            profile.note("pruned", pruned)
-        return out
+            if description._leq(fv, gu, depth):
+                kids.append((v, fv))
+            elif pruned is not None:
+                pruned.append(event)
+        return kids
 
-    def child(self, node: Trace, edge) -> Trace:
-        return node.append(edge)
+    @staticmethod
+    def rebase(node: Trace, kids: list) -> list:
+        return [(node.append(v.item(v.length() - 1)), fv)
+                for v, fv in kids]
 
-    def extendable(self, node: Trace, fu, gu) -> bool:
-        return self.solver._extendable(node, gu, self.profile)
+    def probe(self, node: Trace, fu, gu) -> tuple:
+        description = self.description
+        f = description.lhs
+        tried = 0
+        for event in self.solver._candidate_events(node, gu):
+            tried += 1
+            if description._leq(f.apply(node.append(event)), gu,
+                                self.solver.limit_depth):
+                return True, tried
+        return False, tried
 
-    def trace(self, node: Trace) -> Trace:
+    @staticmethod
+    def trace(node: Trace) -> Trace:
         return node
 
     def env_key(self, node: Trace):
@@ -2086,11 +1390,7 @@ class _ReferenceEngine:
             return None
         return key
 
-    def f_lens(self, value) -> tuple:
-        return component_lengths(value)
-
-    def g_lens(self, value) -> tuple:
-        return component_lengths(value)
+    lens = staticmethod(component_lengths)
 
     def counts(self, node: Trace) -> tuple:
         per = {n: 0 for n in self.names}
@@ -2098,167 +1398,235 @@ class _ReferenceEngine:
             per[e.channel.name] = per.get(e.channel.name, 0) + 1
         return tuple(per[n] for n in sorted(per))
 
-    def seeds(self, checkpoint, result: SolverResult) -> list:
-        pending = self.solver._resume_seeds(checkpoint, result)
-        out = []
-        for depth in sorted(pending):
-            for u, fu in pending[depth]:
-                out.append((depth, u, fu))
-        return out
-
 
 class _CompiledEngine:
-    """Strategy-loop adapter over the packed representation.
+    """The walks' view of the packed representation (same calls as
+    :class:`_ReferenceEngine`).
 
-    Nodes are ``(packed, env)`` pairs — the interned trace and its
-    per-channel message environment; values are the compiled sides'
-    flat tuples.  The environment *is* the per-channel projection, so
-    it doubles as the dedup key with no extra work.  Feature values
-    (lengths, counts) land on the same integers as the reference
-    engine's, which keeps pop order — and therefore even truncated
-    best-first runs — identical across engines.
+    A node is ``(packed, env, parent g, cid)``: the interned trace,
+    its per-channel message environment — which *is* the per-channel
+    projection, so it doubles as the dedup key — and what ``g`` needs
+    to be re-evaluated incrementally: the parent's value and the
+    channel the node appended, whose ``rhs.after`` closure reuses
+    every component that does not read it.  Seeds have no parent and
+    take the full evaluation.  Values are the compiled sides' flat
+    tuples, ``f(v) ⊑ g(u)`` is a compiled prefix test, and the limit
+    condition is plain equality (both values are finite).  Packed
+    traces are unpacked only when a node is classified, into the same
+    Event objects the reference engine appends, so results, digests,
+    checkpoints and cache payloads are bit-identical; feature values
+    land on the reference engine's integers, which keeps even
+    truncated best-first runs identical across engines.
     """
 
-    __slots__ = ("solver", "compiled", "metrics", "profile", "table",
-                 "lhs", "rhs", "leq", "lhs_after", "acts")
+    __slots__ = ("table", "lhs", "leq", "lhs_after", "g_after",
+                 "seed_cid", "acts", "product")
 
-    def __init__(self, solver: "SmoothSolutionSolver", compiled,
-                 metrics, profile) -> None:
-        self.solver = solver
-        self.compiled = compiled
-        self.metrics = metrics
-        self.profile = profile
-        self.table = compiled.table
+    def __init__(self, compiled) -> None:
+        table = compiled.table
+        rhs = compiled.rhs
+        self.table = table
         self.lhs = compiled.lhs
-        self.rhs = compiled.rhs
         self.leq = compiled.leq
         self.lhs_after = compiled.lhs.after
-        self.acts = tuple(
-            (pair, pair[0], self.table.messages[pair[1]], event)
-            for pair, _cid, event in compiled.actions)
+        # one slot past the per-channel closures: a seed's full g
+        self.g_after = rhs.after + (lambda env, _parent: rhs.eval(env),)
+        self.seed_cid = len(rhs.after)
+        # acts carries the raw message so the one-slot environment
+        # surgery needs no table call per candidate
+        self.acts = tuple((pair, cid, table.messages[pair[1]], event)
+                          for pair, cid, event in compiled.actions)
+        # both sides are products or neither (compile_description)
+        self.product = rhs.is_product
 
-    def root(self):
-        env = self.compiled.root_env
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            fu = self.lhs.eval(env)
-            self.profile.add("lhs.apply.root",
-                             time.perf_counter_ns() - t0)
-        else:
-            fu = self.lhs.eval(env)
-        return ((), env), fu
+    def seed(self, trace: Trace) -> tuple:
+        packed = self.table.pack(trace)
+        env = self.table.env_of(packed)
+        return (packed, env, None, self.seed_cid), self.lhs.eval(env)
 
     def g(self, node):
-        env = node[1]
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            gu = self.rhs.eval(env)
-            self.profile.add("rhs.apply",
-                             time.perf_counter_ns() - t0)
-            return gu
-        return self.rhs.eval(env)
+        return self.g_after[node[3]](node[1], node[2])
 
-    def limit(self, node, fu, gu) -> bool:
-        if self.profile is not None:
-            t0 = time.perf_counter_ns()
-            holds = fu == gu
-            self.profile.add("limit_report",
-                             time.perf_counter_ns() - t0)
-            return holds
+    @staticmethod
+    def limit(node, fu, gu) -> bool:
         return fu == gu
 
-    def edges(self, node, fu, gu) -> list:
-        packed, env = node
-        profile = self.profile
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
-        out: list = []
-        pruned = 0
-        leq = self.leq
-        lhs_after = self.lhs_after
-        for pair, acid, msg, event in self.acts:
-            env_v = (env[:acid] + (env[acid] + (msg,),)
-                     + env[acid + 1:])
-            fv = lhs_after[acid](env_v, fu)
+    def edges(self, node, fu, gu,
+              pruned: Optional[list] = None) -> list:
+        packed, env = node[0], node[1]
+        leq, lhs_after = self.leq, self.lhs_after
+        kids = []
+        for pair, cid, msg, event in self.acts:
+            env_v = env[:cid] + (env[cid] + (msg,),) + env[cid + 1:]
+            fv = lhs_after[cid](env_v, fu)
             if leq(fv, gu):
-                out.append(((pair, acid, msg), fv))
-            else:
-                pruned += 1
-                if self.metrics is not None:
-                    self.solver.tracer.event(
-                        "solver.prune", category="solver",
-                        track="solver",
-                        node=repr(self.table.unpack(packed)),
-                        candidate=repr(event), reason="f(v) ⋢ g(u)")
-        if self.metrics is not None:
-            self.metrics.counter(
-                "solver.candidates_proposed").inc(len(self.acts))
-            self.metrics.counter(
-                "solver.candidates_pruned").inc(pruned)
-            self.metrics.histogram(
-                "solver.branching").record(len(out))
-        if profile is not None:
-            profile.add("lhs.apply.expand",
-                        time.perf_counter_ns() - t0,
-                        calls=len(self.acts))
-            profile.note("proposed", len(self.acts))
-            profile.note("pruned", pruned)
-        return out
+                kids.append(((packed + (pair,), env_v, gu, cid), fv))
+            elif pruned is not None:
+                pruned.append(event)
+        return kids
 
-    def child(self, node, edge):
-        packed, env = node
-        pair, acid, msg = edge
-        env_v = (env[:acid] + (env[acid] + (msg,),)
-                 + env[acid + 1:])
-        return (packed + (pair,), env_v)
+    @staticmethod
+    def rebase(node, kids: list) -> list:
+        packed = node[0]
+        return [((packed + (child[0][-1],),) + child[1:], fv)
+                for child, fv in kids]
 
-    def extendable(self, node, fu, gu) -> bool:
-        _packed, env = node
-        profile = self.profile
-        t0 = (time.perf_counter_ns() if profile is not None else 0)
+    def probe(self, node, fu, gu) -> tuple:
+        env = node[1]
+        leq, lhs_after = self.leq, self.lhs_after
         tried = 0
-        hit = False
-        leq = self.leq
-        lhs_after = self.lhs_after
-        for _pair, acid, msg, _event in self.acts:
-            env_v = (env[:acid] + (env[acid] + (msg,),)
-                     + env[acid + 1:])
+        for _pair, cid, msg, _event in self.acts:
             tried += 1
-            if leq(lhs_after[acid](env_v, fu), gu):
-                hit = True
-                break
-        if profile is not None:
-            profile.add("lhs.apply.probe",
-                        time.perf_counter_ns() - t0, calls=tried)
-        return hit
+            if leq(lhs_after[cid](
+                    env[:cid] + (env[cid] + (msg,),) + env[cid + 1:],
+                    fu), gu):
+                return True, tried
+        return False, tried
 
     def trace(self, node) -> Trace:
         return self.table.unpack(node[0])
 
-    def env_key(self, node):
+    @staticmethod
+    def env_key(node):
         return node[1]
 
-    def f_lens(self, value) -> tuple:
-        if self.lhs.is_product:
-            return tuple(len(c) for c in value)
-        return (len(value),)
+    def lens(self, value) -> tuple:
+        return tuple(map(len, value)) if self.product else (len(value),)
 
-    def g_lens(self, value) -> tuple:
-        if self.rhs.is_product:
-            return tuple(len(c) for c in value)
-        return (len(value),)
+    @staticmethod
+    def counts(node) -> tuple:
+        return tuple(map(len, node[1]))
 
-    def counts(self, node) -> tuple:
-        return tuple(len(msgs) for msgs in node[1])
 
-    def seeds(self, checkpoint, result: SolverResult) -> list:
-        pending = self.solver._resume_seeds_packed(
-            checkpoint, result, self.compiled)
-        out = []
-        for depth in sorted(pending):
-            for packed, env, fu, _pgu, _cid in pending[depth]:
-                out.append((depth, (packed, env), fu))
-        return out
+class _ProfiledEngine:
+    """Per-site cost attribution around an engine (tracing only).
 
+    Times the evaluation sites — ``rhs.apply``, ``limit_report``, the
+    ``lhs.apply.expand`` candidate scan and the ``lhs.apply.probe``
+    frontier test — into the run's
+    :class:`~repro.obs.profile.SolverProfile`, with call counts equal
+    to the evaluation ground truth pinned by
+    ``tests/core/test_solver_memo.py``, and narrates each scan: one
+    ``solver.prune`` event per inadmissible candidate, the per-level
+    proposed/pruned notes and the branching metrics.
+    """
+
+    __slots__ = ("inner", "profile", "metrics", "tracer")
+
+    def __init__(self, inner, profile, metrics: MetricsRegistry,
+                 tracer: Tracer) -> None:
+        self.inner = inner
+        self.profile = profile
+        self.metrics = metrics
+        self.tracer = tracer
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+    def g(self, node):
+        return _timed(self.profile, "rhs.apply", self.inner.g, node)
+
+    def limit(self, node, fu, gu) -> bool:
+        return _timed(self.profile, "limit_report", self.inner.limit,
+                      node, fu, gu)
+
+    def edges(self, node, fu, gu) -> list:
+        pruned: list = []
+        t0 = time.perf_counter_ns()
+        kids = self.inner.edges(node, fu, gu, pruned)
+        ns = time.perf_counter_ns() - t0
+        proposed = len(kids) + len(pruned)
+        if pruned:
+            at = repr(self.inner.trace(node))
+            for event in pruned:
+                self.tracer.event(
+                    "solver.prune", category="solver", track="solver",
+                    node=at, candidate=repr(event),
+                    reason="f(v) ⋢ g(u)")
+        self.metrics.counter("solver.candidates_proposed").inc(proposed)
+        self.metrics.counter("solver.candidates_pruned").inc(len(pruned))
+        self.metrics.histogram("solver.branching").record(len(kids))
+        self.profile.add("lhs.apply.expand", ns, calls=proposed)
+        self.profile.note("proposed", proposed)
+        self.profile.note("pruned", len(pruned))
+        return kids
+
+    def probe(self, node, fu, gu) -> tuple:
+        t0 = time.perf_counter_ns()
+        found = self.inner.probe(node, fu, gu)
+        self.profile.add("lhs.apply.probe", time.perf_counter_ns() - t0,
+                         calls=found[1])
+        return found
+
+
+class _DedupEngine:
+    """Duplicate-state reduction around an engine.
+
+    Memoizes ``g``, the limit verdict, the admissible children and
+    the frontier probe per per-channel projection (the engine's
+    ``env_key`` — the paper's ``b(t)``).  Nodes are still enumerated
+    and classified one by one, so the solution set is untouched; only
+    evaluation work is shared.  Memoized children belong to the first
+    node with that projection, so a hit re-hangs them under the asking
+    node (``rebase``).  Nodes without a key skip the memo.
+    """
+
+    __slots__ = ("inner", "memo", "profile", "_node", "_entry_of_node")
+
+    def __init__(self, inner, profile) -> None:
+        self.inner = inner
+        self.memo: dict = {}
+        self.profile = profile
+        self._node = self._entry_of_node = None
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+    def _entry(self, node) -> Optional[dict]:
+        # a walk asks about one node several times in a row (g, the
+        # limit, edges or probe): key it once
+        if node is not self._node:
+            key = self.inner.env_key(node)
+            entry = None
+            if key is not None:
+                entry = self.memo.get(key)
+                if entry is None:
+                    entry = self.memo[key] = {}
+                    if self.profile is not None:
+                        self.profile.bump("dedup.states")
+            self._node, self._entry_of_node = node, entry
+        return self._entry_of_node
+
+    def _cached(self, site: str, compute: Callable, node, *args):
+        entry = self._entry(node)
+        if entry is None:
+            return compute(node, *args)
+        if site in entry:
+            if self.profile is not None:
+                self.profile.bump("dedup.hits")
+            return entry[site]
+        value = entry[site] = compute(node, *args)
+        return value
+
+    def g(self, node):
+        return self._cached("g", self.inner.g, node)
+
+    def limit(self, node, fu, gu) -> bool:
+        return self._cached("limit", self.inner.limit, node, fu, gu)
+
+    def probe(self, node, fu, gu) -> tuple:
+        return self._cached("probe", self.inner.probe, node, fu, gu)
+
+    def edges(self, node, fu, gu) -> list:
+        entry = self._entry(node)
+        if entry is not None and "edges" in entry:
+            if self.profile is not None:
+                self.profile.bump("dedup.hits")
+            return self.inner.rebase(node, entry["edges"])
+        kids = self.inner.edges(node, fu, gu)
+        if entry is not None:
+            entry["edges"] = kids
+        return kids
 
 def solve(description: Description, channels: Iterable[Channel],
           max_depth: int,

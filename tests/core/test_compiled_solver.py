@@ -210,3 +210,22 @@ class TestInternTableBoundary:
 
         tab = InternTable([Event(B, 0)])
         assert tab.unpack(()) is Trace.empty()
+
+
+class TestOrderParity:
+    """Digests sort their sets, so these pin what they cannot: the
+    order of every result list, which ``repro solve`` prints and
+    checkpoints serialize."""
+
+    @pytest.mark.parametrize("depth", range(0, 6))
+    def test_payload_lists_equal_across_engines(self, depth):
+        assert solver(None).explore(depth).to_payload() == \
+            solver(False).explore(depth).to_payload()
+
+    @pytest.mark.parametrize("max_nodes", [7, 30, 100, 333])
+    def test_truncated_payload_and_checkpoint_equal(self, max_nodes):
+        ref = solver(False).explore(5, max_nodes=max_nodes)
+        com = solver(None).explore(5, max_nodes=max_nodes)
+        assert ref.truncated
+        assert com.to_payload() == ref.to_payload()
+        assert com.checkpoint().to_dict() == ref.checkpoint().to_dict()

@@ -312,3 +312,21 @@ class TestLimitReportPrecomputed:
         eager = counting_dfm().limit_report(
             Trace.from_pairs([(B, 0), (D, 0)]), 16)
         assert report.holds == eager.holds
+
+
+class TestOrderMatchesNaiveReference:
+    def test_result_lists_in_naive_bfs_order(self):
+        buckets = ("finite_solutions", "frontier", "dead_ends",
+                   "unvisited")
+        for depth in range(0, 6):
+            for compiled in (False, None):
+                solver = SmoothSolutionSolver.over_channels(
+                    combine([
+                        Description(even_of(chan(D)), chan(B)),
+                        Description(odd_of(chan(D)), chan(C)),
+                    ], name="dfm"), [B, C, D], compiled=compiled)
+                fast = solver.explore(depth).to_payload()
+                slow = naive_explore(solver, depth).to_payload()
+                for bucket in buckets:
+                    assert fast[bucket] == slow[bucket], \
+                        (depth, compiled, bucket)

@@ -8,6 +8,8 @@ disabled path is the pre-existing hot path: an untraced ``explore``
 allocates no profile at all.
 """
 
+import pytest
+
 from repro.channels import Channel
 from repro.core import Description, SmoothSolutionSolver, combine
 from repro.functions import chan, even_of, odd_of
@@ -234,3 +236,34 @@ class TestCollapsedStacks:
         folded = collapsed_stacks(list(ring.records))
         assert folded, "traced explore produced no spans"
         assert any(key.startswith("solver;") for key in folded)
+
+
+class TestProfileEngineParity:
+    """Per-site call counts and strategy counters are bookkeeping of
+    the walk, not of the representation: both engines must report
+    the same ones for every strategy, with and without duplicate-state
+    reduction, on complete and truncated runs."""
+
+    @staticmethod
+    def profile(compiled, strategy, dedup, max_nodes):
+        desc = combine([
+            Description(even_of(chan(D)), chan(B)),
+            Description(odd_of(chan(D)), chan(C)),
+        ], name="dfm")
+        solver = SmoothSolutionSolver.over_channels(
+            desc, [B, C, D], compiled=compiled, strategy=strategy,
+            dedup=dedup, tracer=Tracer([RingBufferSink(capacity=100_000)]))
+        prof = solver.explore(4, max_nodes=max_nodes).profile
+        calls = {name: v["calls"] for name, v in prof["sites"].items()
+                 if name != "compile.build"}
+        return calls, prof["counters"]
+
+    @pytest.mark.parametrize("max_nodes", [200_000, 90])
+    @pytest.mark.parametrize("dedup", [False, True])
+    @pytest.mark.parametrize(
+        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    def test_counts_and_counters_equal_across_engines(
+            self, strategy, dedup, max_nodes):
+        reference = self.profile(False, strategy, dedup, max_nodes)
+        assert reference[0]["limit_report"] > 0
+        assert self.profile(None, strategy, dedup, max_nodes) == reference

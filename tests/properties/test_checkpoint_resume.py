@@ -240,3 +240,33 @@ class TestResumeValidation:
         del data["version"]
         with pytest.raises(ValueError, match="version"):
             dfm_solver().explore(DFM_DEPTH, resume_from=data)
+
+
+class TestMultiDepthResume:
+    """A best-first checkpoint parks seeds at several depths.  A BFS
+    resume that truncates again must park every seed it did not
+    reach, at every depth, or the chain converges on a smaller tree
+    than the straight run's."""
+
+    @pytest.mark.parametrize("compiled", [False, None])
+    def test_bfs_resume_keeps_seeds_at_every_depth(self, compiled):
+        depth = 5
+
+        def solver(strategy):
+            return SmoothSolutionSolver.over_channels(
+                dfm_solver().description, [B, C, D],
+                compiled=compiled, strategy=strategy)
+
+        straight = solver("bfs").explore(depth)
+        first = solver("best-first").explore(depth, max_nodes=60)
+        seed_depths = {t.length() for t in first.unvisited}
+        assert len(seed_depths) > 1
+        second = solver("bfs").explore(
+            depth, max_nodes=5, resume_from=first.checkpoint())
+        assert second.truncated
+        assert seed_depths <= {t.length() for t in second.unvisited}
+        final = solver("bfs").explore(
+            depth, resume_from=second.checkpoint())
+        assert not final.truncated
+        assert final.nodes_explored == straight.nodes_explored
+        assert final.digest() == straight.digest()
