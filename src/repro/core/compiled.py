@@ -21,11 +21,16 @@ see :mod:`repro.traces.intern`):
 * the limit condition      →  ``fu == gu`` (finite values make
   ``eq_upto`` exact equality at any depth).
 
+The same closures check one finite run trace in a single pass
+(:func:`decide_smooth_solution`, behind
+``Description.is_smooth_solution``), compiled against the trace's own
+events instead of a candidate alphabet.
+
 Compilation is deliberately *partial*: anything outside this fragment
 — subclassed descriptions (whose overridden hooks must keep firing),
 opaque ``LambdaFn``/``ProjectionFn``/``IdentityFn`` sides, lazy
 constants, non-sequence codomains, per-node candidate generators —
-returns ``None`` and the solver stays on the reference path.  A
+returns ``None`` and the caller stays on the reference path.  A
 compile-time probe additionally evaluates both paths on the empty
 trace and every single-event trace and refuses to compile on any
 disagreement, so a mis-specified ``tuple_face`` degrades to the slow
@@ -35,7 +40,7 @@ equivalence beyond the probe.
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.channels.channel import Channel
 from repro.channels.event import Event
@@ -60,7 +65,8 @@ class CompiledEvalError(Exception):
 
     Raised (rarely) when a generic op wrapper produces a value that
     cannot be flattened back to a tuple.  The solver catches it and
-    restarts the exploration on the reference path.
+    restarts the exploration on the reference path; the run-trace
+    check declines.
     """
 
 
@@ -350,10 +356,16 @@ def compile_description(description: Description,
     * a probe run over the empty and all single-event traces must
       match the reference path bit-for-bit.
     """
-    if type(description) is not Description:
-        return None
     events = getattr(candidates, "constant_events", None)
     if events is None:
+        return None
+    return _compile(description, events)
+
+
+def _compile(description: Description,
+             events: Iterable[Event]) -> Optional[CompiledDescription]:
+    """:func:`compile_description` against a known event alphabet."""
+    if type(description) is not Description:
         return None
     lhs_channels = _leaf_channels(description.lhs)
     rhs_channels = _leaf_channels(description.rhs)
@@ -430,3 +442,62 @@ def _probe_agrees(compiled: CompiledDescription) -> bool:
         # reference path is always available and always right
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Checking one run trace
+# ---------------------------------------------------------------------------
+
+def decide_smooth_solution(description: Description, trace: Trace,
+                           depth: int) -> Optional[bool]:
+    """Is the finite ``trace`` a smooth solution of ``description``?
+
+    The same answer as ``description.check(trace, depth).is_smooth``
+    in one pass over the trace, where the reference re-applies both
+    sides to each of its ``n`` prefixes.  The description is compiled
+    against the trace's own distinct events, the packed environment
+    grows one event at a time, and each step takes ``f(v)`` from
+    ``lhs.after`` and ``g(u)`` from ``rhs.after`` — a side that does
+    not read the appended channel keeps its value.  The pairs tested
+    are those of ``trace.pre_pairs(depth)``: ``f(v) ⊑ g(u)`` while
+    ``|v| ≤ depth``.  The limit condition is ``f(t) == g(t)``, which
+    is what ``eq_upto`` comes to on finite values at any depth.
+
+    Returns ``None`` — the caller then answers by the reference
+    check — for a trace not known finite, a negative depth, an
+    unhashable message, anything :func:`compile_description` refuses
+    (a subclassed description, an opaque side, a probe disagreement)
+    and a :class:`CompiledEvalError` during the walk.
+    """
+    n = trace.known_length()
+    if n is None or depth < 0:
+        return None
+    # each event's slot among the distinct events, which are also
+    # the compiled actions in order: one hash per event
+    index: dict = {}
+    try:
+        slots = [index.setdefault(event, len(index))
+                 for event in trace.events.take(n).items]
+    except TypeError:
+        return None  # unhashable message: cannot intern
+    compiled = _compile(description, index)
+    if compiled is None:
+        return None
+    actions = compiled.actions
+    extend = compiled.table.extend_env
+    lhs_after, rhs_after = compiled.lhs.after, compiled.rhs.after
+    leq = compiled.leq
+    env = compiled.root_env
+    fv = compiled.lhs.eval(env)
+    gu = compiled.rhs.eval(env)
+    try:
+        for k, slot in enumerate(slots):
+            pair, cid, _event = actions[slot]
+            env = extend(env, pair)
+            fv = lhs_after[cid](env, fv)
+            if k < depth and not leq(fv, gu):
+                return False
+            gu = rhs_after[cid](env, gu)
+    except CompiledEvalError:
+        return None
+    return fv == gu

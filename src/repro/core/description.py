@@ -154,7 +154,19 @@ class Description:
 
     def is_smooth_solution(self, t: Trace,
                            depth: int = DEFAULT_DEPTH) -> bool:
-        return self.check(t, depth).is_smooth
+        """``self.check(t, depth).is_smooth``, which stays the reference.
+
+        A known-finite trace of a compilable description is decided
+        in one incremental pass
+        (:func:`repro.core.compiled.decide_smooth_solution`); every
+        other input goes through :meth:`check`.
+        """
+        from repro.core.compiled import decide_smooth_solution
+
+        verdict = decide_smooth_solution(self, t, depth)
+        if verdict is None:
+            return self.check(t, depth).is_smooth
+        return verdict
 
     # -- Lemma 2 and Theorem 1 ---------------------------------------------
 

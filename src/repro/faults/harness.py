@@ -485,4 +485,22 @@ def _classify(plan_name: str, seed: int,
                                detail=detail)
     return ConformanceCase(
         plan_name, seed, "violation", result,
-        detail=f"trace rejected by spec: {trace!r}")
+        detail=_rejection_detail(spec, trace, depth))
+
+
+def _rejection_detail(spec, trace, depth: int) -> str:
+    """Why ``spec`` rejected ``trace``: the first failing condition of
+    its reference ``check``, or the whole trace for a spec without
+    one.  Only rejected traces pay for the reference check."""
+    check = getattr(spec, "check", None)
+    if check is None:
+        return f"trace rejected by spec: {trace!r}"
+    verdict = check(trace, depth)
+    violation = verdict.first_violation
+    if violation is None:
+        reason = str(verdict.limit)
+    else:
+        reason = (f"smoothness fails at |v| = {violation.v.length()}: "
+                  f"f(v) = {violation.lhs_of_v!r} ⋢ "
+                  f"g(u) = {violation.rhs_of_u!r}")
+    return f"trace rejected by spec: {reason}"

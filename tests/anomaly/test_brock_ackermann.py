@@ -14,6 +14,8 @@ from repro.anomaly.brock_ackermann import (
     solves_equations,
     trace_of_output,
 )
+from repro.core.compiled import decide_smooth_solution
+from repro.core.description import DEFAULT_DEPTH
 from repro.seq.finite import fseq
 
 
@@ -77,6 +79,29 @@ class TestSmoothness:
         assert system.is_smooth_solution(t)
         anomalous = Trace.from_pairs([(c, 0), (b, 1), (c, 1), (c, 2)])
         assert not system.is_smooth_solution(anomalous)
+
+
+class TestBothCheckPaths:
+    """§2.4's verdict holds on the compiled walk and on the reference
+    check alike: of the candidate sequences only ``0 2 1`` is smooth."""
+
+    def test_only_the_real_solution_is_smooth_on_both_paths(self):
+        b, c = channels()
+        desc = combined_description(b, c)
+        sequences = list(candidate_sequences())
+        compiled = [tuple(s) for s in sequences
+                    if desc.is_smooth_solution(trace_of_output(c, s))]
+        reference = [tuple(s) for s in sequences
+                     if desc.check(trace_of_output(c, s)).is_smooth]
+        assert compiled == reference == [(0, 2, 1)]
+
+    def test_eliminated_description_is_decided_compiled(self):
+        b, c = channels()
+        desc = combined_description(b, c)
+        for s in candidate_sequences():
+            t = trace_of_output(c, s)
+            assert decide_smooth_solution(desc, t, DEFAULT_DEPTH) is \
+                desc.check(t).is_smooth
 
 
 class TestOperational:

@@ -5,6 +5,8 @@ core) so the test is self-contained; the full ABP scenario lives in
 ``examples/alternating_bit.py`` and ``benchmarks/bench_fault_injection``.
 """
 
+import pytest
+
 from repro.channels.channel import Channel
 from repro.core import Description, DescriptionSystem
 from repro.faults import (
@@ -17,6 +19,7 @@ from repro.faults import (
 from repro.functions import chan
 from repro.functions.base import const_seq
 from repro.kahn.effects import Poll, Recv, Send
+from repro.par import CellTask, get_scenario, run_cell
 from repro.seq import FiniteSeq
 
 PAYLOAD = ["a", "b"]
@@ -101,6 +104,14 @@ class TestConformanceGrid:
         assert not report.all_conform
         assert len(report.violations) == 4
         assert all("rejected" in c.detail for c in report.violations)
+        # the detail names the failing condition instead of the trace
+        for case in report.violations:
+            assert case.detail.startswith("trace rejected by spec: ")
+            assert ("smoothness fails" in case.detail
+                    or "limit condition fails" in case.detail), \
+                case.detail
+            trace = case.result.trace.project({OUT})
+            assert repr(trace) not in case.detail
 
     def test_unfair_loss_livelocks_and_is_reported(self):
         def black_hole():
@@ -134,3 +145,64 @@ class TestConformanceGrid:
             watchdog_limit=600,
         )
         assert len(report.select("conforms", plan="none")) == 2
+
+
+class TestViolationDetail:
+    """A violation cell names the condition its trace fails, taken
+    from the spec's reference ``check``."""
+
+    def test_short_delivery_reports_the_limit_condition(self):
+        # every delivered prefix is allowed, but the run stops short
+        # of the promised payload: only the limit condition fails
+        longer = Description(chan(OUT),
+                             const_seq(FiniteSeq(PAYLOAD + ["a"])),
+                             name="out ⟵ payload a")
+        report = run_conformance(
+            "mini-abp", agents(), CHANNELS, longer,
+            {"none": no_faults}, seeds=[0], observe={OUT},
+        )
+        [case] = report.violations
+        assert case.detail == \
+            "trace rejected by spec: limit condition fails (exactly)"
+
+    def test_spec_without_check_keeps_the_trace(self):
+        class Verdict:
+            def is_smooth_solution(self, trace, depth):
+                return False
+
+        report = run_conformance(
+            "mini-abp", agents(), CHANNELS, Verdict(),
+            {"none": no_faults}, seeds=[0], observe={OUT},
+        )
+        [case] = report.violations
+        trace = case.result.trace.project({OUT})
+        assert case.detail == f"trace rejected by spec: {trace!r}"
+
+
+class TestRegisteredScenariosCheckCompiled:
+    """The registered grid scenarios' traces are decided by the
+    compiled walk: with the reference check disabled they are still
+    accepted.  A spec that drifts back onto the reference walk fails
+    here, not only in the benchmark."""
+
+    @pytest.mark.parametrize("name, plan", [
+        ("dfm", "none"),
+        ("alternating_bit", "no-faults"),
+    ])
+    def test_conforming_cell_needs_no_reference_check(
+            self, name, plan, monkeypatch):
+        scenario = get_scenario(name)
+        case = run_cell(CellTask(name, plan, seed=1,
+                                 max_steps=scenario.max_steps,
+                                 record=False))
+        assert case.outcome == "conforms"
+        trace = case.result.trace
+        if scenario.observe is not None:
+            trace = trace.project(set(scenario.observe))
+
+        def reference_check(*_args, **_kwargs):
+            raise AssertionError("the reference check ran")
+
+        monkeypatch.setattr(Description, "check", reference_check)
+        assert scenario.spec.is_smooth_solution(
+            trace, scenario.depth) is True

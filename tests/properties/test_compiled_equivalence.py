@@ -8,16 +8,35 @@ Two layers of randomized evidence back the engine swap in
   canonical keys;
 * the *order theory* collapses correctly — on finite sequences the
   packed prefix tests agree bit-for-bit with ``seq_leq`` /
-  ``seq_leq_upto`` / ``seq_eq_upto`` at every depth ≤ 8.
+  ``seq_leq_upto`` / ``seq_eq_upto`` at every depth ≤ 8;
+* the one-pass run-trace check gives the reference verdict —
+  ``is_smooth_solution`` equals ``check(...).is_smooth`` on random
+  finite traces of every compilable spec the grid and the §4 catalog
+  use, and inputs the walk declines are answered by ``check``.
 """
 
+import functools
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channels.channel import Channel
 from repro.channels.event import Event
+from repro.core.compiled import decide_smooth_solution
+from repro.core.description import Description
+from repro.core.solver import SmoothSolutionSolver
+from repro.functions.base import LambdaFn, OpFn, chan, const_seq
+from repro.functions.seq_fns import even_of, odd_of
 from repro.seq.finite import FiniteSeq
-from repro.seq.ordering import seq_eq_upto, seq_leq, seq_leq_upto
+from repro.seq.lazy import LazySeq
+from repro.seq.ordering import (
+    SEQ_CPO,
+    seq_eq_upto,
+    seq_leq,
+    seq_leq_upto,
+)
 from repro.seq.packed import (
     pack_seq,
     packed_eq_upto,
@@ -157,3 +176,187 @@ class TestCompiledFaceAgreement:
         for fn in fns:
             face = fn.op.tuple_face
             assert face(t) == pack_seq(fn.op(FiniteSeq(t)))
+
+
+# ---------------------------------------------------------------------------
+# The one-pass run-trace check against Description.check
+# ---------------------------------------------------------------------------
+
+#: a channel none of the specs below reads
+X = Channel("x", alphabet={0, 1})
+
+
+@functools.lru_cache(maxsize=None)
+def smooth_specs() -> dict:
+    """Name -> ``(description, events, smooth solutions)``.
+
+    ``events`` spans the spec's channels plus :data:`X`; the smooth
+    solutions (depth ≤ 4, over the channels the description reads)
+    seed the mutated traces, which random lists alone would rarely
+    make smooth.
+    """
+    from repro.anomaly.brock_ackermann import (
+        channels,
+        combined_description,
+    )
+    from repro.par import get_scenario
+    from repro.processes import implication, merge, random_bit
+
+    specs = [(p.name, p.description(), p.channels)
+             for p in (merge.make_dfm(), merge.make_fair_merge(),
+                       implication.make(), random_bit.make_sequence())]
+    for name in ("dfm", "alternating_bit"):
+        scenario = get_scenario(name)
+        specs.append((f"grid-{name}", scenario.spec, scenario.channels))
+    b, c = channels()
+    specs.append(("brock-ackermann", combined_description(b, c), [b, c]))
+    out = {}
+    for name, description, spec_channels in specs:
+        ordered = sorted(spec_channels, key=lambda ch: ch.name) + [X]
+        events = [Event(ch, m) for ch in ordered
+                  for m in sorted(ch.alphabet, key=repr)]
+        read = [ch for ch in ordered if ch in description.support()]
+        solutions = SmoothSolutionSolver.over_channels(
+            description, read).explore(4).finite_solutions
+        out[name] = (description, events,
+                     [list(t) for t in solutions])
+    return out
+
+
+@st.composite
+def spec_traces(draw, events, solutions):
+    """A random event list, or a smooth solution after up to three
+    edits: a cut (limit-only failures), a swap of neighbours
+    (smoothness-only failures) or an inserted event."""
+    if not solutions or draw(st.booleans()):
+        return Trace.finite(
+            draw(st.lists(st.sampled_from(events), max_size=8)))
+    t = list(draw(st.sampled_from(solutions)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("cut", "swap", "insert")))
+        i = draw(st.integers(0, len(t)))
+        if kind == "cut":
+            t = t[:i]
+        elif kind == "swap" and i + 1 < len(t):
+            t[i], t[i + 1] = t[i + 1], t[i]
+        elif kind == "insert":
+            t.insert(i, draw(st.sampled_from(events)))
+    return Trace.finite(t)
+
+
+SPEC_NAMES = ["dfm", "FairMerge", "Implication", "RandomBitSequence",
+              "grid-dfm", "grid-alternating_bit", "brock-ackermann"]
+
+
+def dfm_spec() -> Description:
+    return Description(even_of(chan(D)), chan(B), name="even(d) ⟵ b")
+
+
+class TestSmoothCheckAgreement:
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_walk_agrees_with_check(self, name, data):
+        description, events, solutions = smooth_specs()[name]
+        t = data.draw(spec_traces(events, solutions))
+        depth = data.draw(st.integers(0, t.length() + 2))
+        want = description.check(t, depth).is_smooth
+        assert decide_smooth_solution(description, t, depth) is want
+        assert description.is_smooth_solution(t, depth) is want
+
+    def test_every_failure_mode_is_covered(self):
+        # all dfm traces of up to four events over five events (one
+        # on the unread channel x), at every depth 0..|t|+2: the
+        # verdicts agree, and each way of failing occurs
+        description, _events, _solutions = smooth_specs()["dfm"]
+        b, c, d = sorted(description.support(), key=lambda ch: ch.name)
+        events = [Event(b, 0), Event(c, 1), Event(d, 0), Event(d, 1),
+                  Event(X, 0)]
+        seen = set()
+        for n in range(5):
+            for combo in itertools.product(events, repeat=n):
+                t = Trace.finite(combo)
+                complete = description.check(t, n)
+                for depth in range(n + 3):
+                    verdict = description.check(t, depth)
+                    assert decide_smooth_solution(
+                        description, t, depth) is verdict.is_smooth
+                    assert description.is_smooth_solution(
+                        t, depth) is verdict.is_smooth
+                    seen.add((verdict.limit.holds,
+                              not verdict.violations))
+                    if verdict.is_smooth and not complete.is_smooth:
+                        seen.add("violation beyond depth")
+        assert seen == {(True, True), (False, True), (True, False),
+                        (False, False), "violation beyond depth"}
+
+
+class TestSmoothCheckFallback:
+    """Inputs the walk declines are answered by ``check``."""
+
+    @staticmethod
+    def answered_by_check(monkeypatch, description, t, depth=6):
+        want = description.check(t, depth).is_smooth
+        assert decide_smooth_solution(description, t, depth) is None
+        calls = []
+        reference = Description.check
+
+        def spy(self, trace, depth):
+            calls.append(trace)
+            return reference(self, trace, depth)
+
+        monkeypatch.setattr(Description, "check", spy)
+        assert description.is_smooth_solution(t, depth) is want
+        assert calls == [t]
+        return want
+
+    def test_lazy_trace(self, monkeypatch):
+        t = Trace.cycle_pairs([(B, 0), (D, 0)])
+        assert self.answered_by_check(monkeypatch, dfm_spec(), t)
+
+    def test_description_subclass(self, monkeypatch):
+        class Sub(Description):
+            pass
+
+        spec = Sub(even_of(chan(D)), chan(B), name="sub")
+        t = Trace.from_pairs([(B, 0), (D, 0)])
+        assert self.answered_by_check(monkeypatch, spec, t)
+
+    def test_lambda_fn_side(self, monkeypatch):
+        spec = Description(
+            LambdaFn("opaque", lambda t: t.sequence_on(D),
+                     codomain=SEQ_CPO),
+            chan(B), name="opaque")
+        t = Trace.from_pairs([(D, 0), (B, 0)])
+        assert not self.answered_by_check(monkeypatch, spec, t)
+
+    def test_unhashable_message(self, monkeypatch):
+        u = Channel("u")
+        spec = Description(chan(u), const_seq(FiniteSeq(([0],))),
+                           name="u ⟵ [0]")
+        t = Trace.from_pairs([(u, [0])])
+        assert self.answered_by_check(monkeypatch, spec, t)
+
+    def test_probe_disagreement(self, monkeypatch):
+        # a lying face fails the compile-time probe on (d,0), one of
+        # the trace's own events; the op is shared module state, so
+        # monkeypatch restores it
+        lifted = odd_of(chan(D))
+        monkeypatch.setattr(lifted.op, "tuple_face", lambda t: t)
+        spec = Description(lifted, chan(C), name="liar")
+        t = Trace.from_pairs([(C, 1), (D, 0), (D, 1)])
+        assert self.answered_by_check(monkeypatch, spec, t)
+
+    def test_non_finite_value_mid_walk(self, monkeypatch):
+        # an op without a face that is finite on the probe's depth-≤1
+        # traces and lazy from two messages on: the walk meets it at
+        # the second event and declines
+        def late_lazy(s):
+            if len(s) < 2:
+                return s
+            return LazySeq(iter(s.items))
+
+        spec = Description(OpFn("late", late_lazy, [chan(D)]),
+                           const_seq(FiniteSeq((0, 1))), name="late")
+        t = Trace.from_pairs([(D, 0), (D, 1)])
+        self.answered_by_check(monkeypatch, spec, t)
