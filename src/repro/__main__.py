@@ -7,11 +7,13 @@ Commands:
 * ``anomaly``        — run the Brock–Ackermann analysis;
 * ``fig3``           — the §2.3 x/y/z verdicts;
 * ``zoo``            — one-line membership sample per catalog process;
-* ``trace``          — record an instrumented run of an example and
-  write a Chrome-trace-event timeline (open it in
-  https://ui.perfetto.dev) plus, optionally, a JSONL event log;
-* ``record``         — flight-record a scenario run (every oracle
-  decision and fault RNG draw) into a schedule JSON;
+* ``trace``          — run a scenario's default grid for one seed plus
+  a depth-4 solve of its spec under one tracer, and write a
+  Chrome-trace-event timeline (open it in https://ui.perfetto.dev)
+  plus, optionally, a JSONL event log;
+* ``record``         — flight-record one grid cell (scenario × plan ×
+  seed: every oracle decision and fault RNG draw) into a schedule
+  JSON;
 * ``replay``         — re-execute a recorded schedule bit-for-bit and
   verify the run digest (exit 0 iff it matches); also replays a
   fleet quarantine bundle (a directory or its ``cell.json``),
@@ -20,9 +22,10 @@ Commands:
   schedules and their (lenient) replays;
 * ``shrink``         — delta-debug a failing schedule to a locally
   minimal one that preserves the verdict;
-* ``grid``           — run a registered conformance scenario's full
-  ``plans × seeds`` grid, optionally farmed over supervised worker
-  processes (``--workers N``, with per-cell deadlines
+* ``grid``           — run a scenario's ``plans × seeds`` conformance
+  grid (by default every plan outside ``Scenario.unfair``),
+  optionally farmed over supervised worker processes
+  (``--workers N``, with per-cell deadlines
   ``--cell-timeout``, bounded ``--retries``, ``--quarantine-dir``
   bundles for poison cells and a ``--chaos kill-worker:p``
   self-test) and optionally backed by the persistent result cache
@@ -44,6 +47,10 @@ Commands:
   trajectory: exits 1 when a tracked row (solver depth-6 memoization,
   warm-grid speedup, fleet overhead, recorder overhead) regresses
   beyond its per-row tolerance.
+
+Every scenario argument names an entry of the :mod:`repro.par`
+registry, the one place a scenario's network, fault plans and
+specification are defined.
 """
 
 from __future__ import annotations
@@ -52,11 +59,9 @@ import argparse
 import pathlib
 import sys
 
-#: Examples the ``trace`` command knows how to record.
-TRACE_EXAMPLES = ("alternating_bit", "dfm")
-
-#: Scenarios the flight-recorder commands know how to (re)build.
-RECORD_SCENARIOS = ("alternating_bit", "dfm")
+#: Depth bound of ``solve``/``query`` without ``--depth``, and of the
+#: solve ``trace`` runs.
+SOLVE_DEPTH = 4
 
 
 def cmd_summary() -> int:
@@ -84,26 +89,21 @@ def cmd_summary() -> int:
 
 
 def cmd_dfm() -> int:
-    from repro.channels import Channel
-    from repro.core import Description, combine, solve
-    from repro.functions import chan, even_of, odd_of
+    from repro.core import solve
+    from repro.par import get_scenario
     from repro.report import render_solver_result, render_verdict
     from repro.traces import Trace
 
-    b = Channel("b", alphabet={0, 2})
-    c = Channel("c", alphabet={1, 3})
-    d = Channel("d", alphabet={0, 1, 2, 3})
-    dfm = combine([
-        Description(even_of(chan(d)), chan(b)),
-        Description(odd_of(chan(d)), chan(c)),
-    ], name="dfm")
+    sc = get_scenario("dfm")
+    b, _, d = sc.solve_channels
     for t in [
         Trace.from_pairs([(b, 0), (d, 0)]),
         Trace.from_pairs([(d, 0)]),
     ]:
-        print(render_verdict(dfm.check(t)))
+        print(render_verdict(sc.spec.check(t)))
         print()
-    print(render_solver_result(solve(dfm, [b, c, d], max_depth=4)))
+    print(render_solver_result(
+        solve(sc.spec, sc.solve_channels, max_depth=SOLVE_DEPTH)))
     return 0
 
 
@@ -175,11 +175,6 @@ def cmd_zoo() -> int:
     return 0
 
 
-def _examples_dir() -> pathlib.Path:
-    """The repo's ``examples/`` directory (checkout layout)."""
-    return pathlib.Path(__file__).resolve().parents[2] / "examples"
-
-
 def _make_cache(enabled: bool, cache_dir: str | None,
                 fsync: bool = False):
     """A :class:`repro.cache.CacheStore`, or ``None`` when disabled.
@@ -194,97 +189,60 @@ def _make_cache(enabled: bool, cache_dir: str | None,
     return CacheStore(cache_dir or DEFAULT_CACHE_DIR, fsync=fsync)
 
 
-def cmd_trace(example: str, out: str | None, jsonl: str | None,
-              seed: int, max_steps: int, use_cache: bool = False,
+def _resolve_scenario(name: str | None, plan_names=()):
+    """The registered scenario ``name``, checked against the plan names
+    a command was given.  Raises ``ValueError`` with the message to
+    print (exit status 2) for an unknown scenario or plan."""
+    from repro import par
+
+    try:
+        sc = par.get_scenario(name)
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {name!r} "
+            f"(choices: {', '.join(par.scenario_names())})") from None
+    missing = [p for p in plan_names if p not in sc.plans]
+    if missing:
+        raise ValueError(f"unknown plan(s) {', '.join(missing)} "
+                         f"(choices: {', '.join(sorted(sc.plans))})")
+    return sc
+
+
+def cmd_trace(scenario: str, out: str | None, jsonl: str | None,
+              seed: int, max_steps: int | None, use_cache: bool = False,
               cache_dir: str | None = None) -> int:
     """Record an instrumented run and export its Perfetto timeline.
 
-    ``alternating_bit`` exercises all three instrumented layers: a
-    fault-injected supervised protocol run (scheduler / runtime /
-    fault spans) followed by a solver check of the delivered trace
-    against the service specification (solver spans).  ``dfm`` records
-    the §2.2 solver exploration plus an operational dfm network run.
+    One tracer sees the scenario's default grid for one seed (harness,
+    scheduler, runtime and fault spans per cell), then a depth-4 solve
+    of the scenario's spec (solver spans).
     """
+    from repro import par
+    from repro.core import SmoothSolutionSolver
     from repro.obs import JsonlSink, RingBufferSink, Tracer, \
         write_chrome_trace
-    from repro.report import render_metrics
 
+    sc = par.get_scenario(scenario)
     ring = RingBufferSink(capacity=500_000)
     sinks = [ring]
     if jsonl:
         sinks.append(JsonlSink(jsonl))
     tracer = Tracer(sinks)
     store = _make_cache(use_cache, cache_dir)
-
-    if example == "alternating_bit":
-        examples = _examples_dir()
-        if not examples.is_dir():
-            print(f"examples directory not found at {examples}",
-                  file=sys.stderr)
-            return 1
-        sys.path.insert(0, str(examples))
-        from alternating_bit import (
-            FAULTY_CHANNELS,
-            MESSAGES,
-            OUT,
-            direct_agents,
-            fair_loss_plan,
-            service_spec,
-        )
-        from repro.core import SmoothSolutionSolver
-        from repro.faults import run_conformance
-
-        spec = service_spec(MESSAGES).combined()
-        report = run_conformance(
-            "abp-direct", direct_agents(MESSAGES), FAULTY_CHANNELS,
-            spec, {"fair-loss": lambda: fair_loss_plan(seed=seed)},
-            seeds=[seed], observe={OUT}, max_steps=max_steps,
-            watchdog_limit=600, tracer=tracer, cache=store,
-        )
-        case = report.cases[0]
+    report = par.run_conformance_parallel(
+        scenario, seeds=[seed], max_steps=max_steps, workers=1,
+        tracer=tracer, cache=store)
+    for case in report.cases:
         print(f"{case}  [{case.elapsed_s * 1e3:.1f}ms]")
-        solver = SmoothSolutionSolver.over_channels(
-            spec, [OUT], tracer=tracer, cache=store)
-        result = solver.explore(len(MESSAGES) + 1)
-        print(f"solver: {result.nodes_explored} nodes, "
-              f"{len(result.finite_solutions)} finite solution(s)")
-        print(render_metrics(case.metrics, title="run metrics"))
-    elif example == "dfm":
-        from repro.channels import Channel
-        from repro.core import Description, SmoothSolutionSolver, \
-            combine
-        from repro.functions import chan, even_of, odd_of
-        from repro.kahn.agents import dfm_agent, source_agent
-        from repro.kahn.scheduler import RandomOracle, run_network
-
-        b = Channel("b", alphabet={0, 2})
-        c = Channel("c", alphabet={1, 3})
-        d = Channel("d", alphabet={0, 1, 2, 3})
-        dfm = combine([
-            Description(even_of(chan(d)), chan(b)),
-            Description(odd_of(chan(d)), chan(c)),
-        ], name="dfm")
-        solver = SmoothSolutionSolver.over_channels(
-            dfm, [b, c, d], tracer=tracer, cache=store)
-        result = solver.explore(4)
-        print(f"solver: {result.nodes_explored} nodes, "
-              f"{len(result.finite_solutions)} finite solution(s)")
-        run = run_network(
-            {"eb": source_agent(b, [0, 2]),
-             "dfm": dfm_agent(b, c, d)},
-            [b, c, d], RandomOracle(seed), max_steps=max_steps,
-            tracer=tracer,
-        )
-        print(f"network: {run.steps} steps, "
-              f"quiescent={run.quiescent}")
-    else:  # pragma: no cover - argparse restricts choices
-        print(f"unknown trace example {example!r}", file=sys.stderr)
-        return 1
-
+    solver = SmoothSolutionSolver.over_channels(
+        sc.spec, sc.solve_channels, tracer=tracer, cache=store)
+    result = solver.explore(SOLVE_DEPTH)
+    print(f"solver: {result.nodes_explored} nodes, "
+          f"{len(result.finite_solutions)} finite solution(s)")
     tracer.close()
-    out = out or f"{example}.perfetto.json"
+    out = out or f"{scenario}.perfetto.json"
     n = write_chrome_trace(ring.records, out,
-                           process_name=f"repro:{example}")
+                           process_name=f"repro:{scenario}")
     print(f"wrote {n} trace events to {out}"
           + (f" (+ JSONL log at {jsonl})" if jsonl else ""))
     print("open in https://ui.perfetto.dev (or chrome://tracing)")
@@ -295,115 +253,37 @@ def cmd_trace(example: str, out: str | None, jsonl: str | None,
     return 0
 
 
-# -- flight-recorder scenarios ----------------------------------------------
+# -- flight recorder ----------------------------------------------------------
 #
-# A scenario bundles everything needed to *rebuild* a recorded run
-# from its schedule's meta alone: the agents, the channels, the spec
-# and fresh identically-seeded plan factories.  ``record`` stamps the
-# scenario name into ``meta["scenario"]``; ``replay``/``shrink`` read
-# it back, so a schedule JSON is a self-contained repro.
-
-
-def _import_example(name: str):
-    examples = _examples_dir()
-    if not examples.is_dir():
-        raise FileNotFoundError(
-            f"examples directory not found at {examples}")
-    if str(examples) not in sys.path:
-        sys.path.insert(0, str(examples))
-    import importlib
-    return importlib.import_module(name)
-
-
-def _abp_plans(seed: int) -> dict:
-    abp = _import_example("alternating_bit")
-    return {
-        "no-faults": abp.no_faults,
-        "fair-loss": lambda: abp.fair_loss_plan(seed=seed),
-        "heavy-loss": lambda: abp.fair_loss_plan(seed=seed, p=0.5),
-        "loss+dup": lambda: abp.loss_and_duplication_plan(seed=seed),
-        "black-hole": abp.unfair_loss_plan,
-    }
-
-
-def _dfm_network():
-    from repro.channels import Channel
-    from repro.kahn.agents import dfm_agent, source_agent
-
-    b = Channel("b", alphabet={0, 2})
-    c = Channel("c", alphabet={1, 3})
-    d = Channel("d", alphabet={0, 1, 2, 3})
-
-    def make_agents():
-        return {"eb": source_agent(b, [0, 2, 0, 2]),
-                "dfm": dfm_agent(b, c, d)}
-
-    return make_agents, [b, c, d]
-
-
-def _dfm_plan(plan_name: str, seed: int):
-    if plan_name == "none":
-        return None
-    if plan_name == "drop":
-        from repro.faults import DropFault, FaultPlan
-        make_agents, channels = _dfm_network()
-        b = channels[0]
-        return FaultPlan(
-            {b: DropFault(seed=seed, p=0.4,
-                          max_consecutive_drops=2)},
-            name="drop")
-    raise KeyError(f"unknown dfm plan {plan_name!r} "
-                   "(choices: none, drop)")
+# A recording is one grid cell: ``record`` runs ``plan × seed`` of a
+# registered scenario exactly as ``grid`` does and stamps the scenario
+# name into ``meta["scenario"]``; ``replay``/``diff``/``why``/``shrink``
+# rebuild the cell from that registry entry, so a schedule JSON is a
+# self-contained repro.
 
 
 def cmd_record(scenario: str, plan_name: str | None, seed: int,
-               max_steps: int, out: str | None) -> int:
-    """Flight-record one scenario run; write the schedule JSON."""
-    out = out or f"{scenario}.schedule.json"
-    if scenario == "alternating_bit":
-        abp = _import_example("alternating_bit")
-        from repro.faults import run_conformance
+               max_steps: int | None, out: str | None) -> int:
+    """Flight-record one grid cell; write the schedule JSON.
 
-        plan_name = plan_name or "fair-loss"
-        plans = _abp_plans(seed)
-        if plan_name not in plans:
-            print(f"unknown plan {plan_name!r} "
-                  f"(choices: {', '.join(sorted(plans))})",
-                  file=sys.stderr)
-            return 2
-        limit = None if plan_name == "black-hole" else 50
-        report = run_conformance(
-            "abp-direct",
-            abp.direct_agents(abp.MESSAGES, retransmit_limit=limit),
-            abp.FAULTY_CHANNELS,
-            abp.service_spec(abp.MESSAGES).combined(),
-            {plan_name: plans[plan_name]}, seeds=[seed],
-            observe={abp.OUT}, max_steps=max_steps,
-            watchdog_limit=600,
-        )
-        case = report.cases[0]
-        schedule = case.schedule
-        schedule.meta["scenario"] = scenario
-        schedule.meta["retransmit_limit"] = limit
-        print(case)
-    elif scenario == "dfm":
-        from repro.kahn.scheduler import RandomOracle, run_network
+    Without a plan name the scenario's first registered plan is used;
+    without a step budget, the scenario's.
+    """
+    from repro import par
 
-        plan_name = plan_name or "none"
-        make_agents, channels = _dfm_network()
-        result = run_network(
-            make_agents(), channels, RandomOracle(seed),
-            max_steps=max_steps,
-            fault_plan=_dfm_plan(plan_name, seed), record=True,
-        )
-        schedule = result.schedule
-        schedule.meta.update(scenario=scenario, plan=plan_name,
-                             seed=seed)
-        print(f"dfm × seed {seed} × plan {plan_name}: "
-              f"quiescent={result.quiescent} in {result.steps} steps")
-    else:  # pragma: no cover - argparse restricts choices
-        print(f"unknown scenario {scenario!r}", file=sys.stderr)
+    try:
+        sc = _resolve_scenario(scenario, [plan_name] if plan_name else [])
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
+    plan_name = plan_name or next(iter(sc.plans))
+    case = par.run_cell(par.CellTask(
+        scenario, plan_name, seed,
+        sc.max_steps if max_steps is None else max_steps))
+    schedule = case.schedule
+    schedule.meta["scenario"] = scenario
+    print(case)
+    out = out or f"{scenario}.schedule.json"
     schedule.save(out)
     print(f"recorded {len(schedule)} decision(s) "
           f"(digest {schedule.meta['digest'][:16]}) to {out}")
@@ -411,48 +291,27 @@ def cmd_record(scenario: str, plan_name: str | None, seed: int,
 
 
 def _replay_schedule(schedule, lenient: bool, tracer=None):
-    """Re-run a schedule per its ``meta['scenario']``.
+    """Re-run a recorded grid cell, rebuilt from the registry entry
+    named by its ``meta['scenario']``.
 
-    Returns ``(outcome, result, recorded_outcome)`` where outcome is
-    None for scenarios without a conformance verdict.  ``tracer``
+    Returns ``(outcome, result, recorded_outcome)``; raises
+    ``KeyError`` when no registered scenario has that name.  ``tracer``
     instruments the replayed run — ``diff --explain`` and ``why``
     rebuild the happens-before graph from its event stream.
     """
-    scenario = schedule.meta.get("scenario")
+    from repro import par
+    from repro.faults import replay_conformance_case
+
+    sc = par.get_scenario(schedule.meta.get("scenario"))
     fallback = None
     if lenient:
         from repro.kahn.scheduler import FirstOracle
         fallback = FirstOracle()
-    if scenario == "alternating_bit":
-        abp = _import_example("alternating_bit")
-        from repro.faults import replay_conformance_case
-
-        case = replay_conformance_case(
-            schedule,
-            abp.direct_agents(
-                abp.MESSAGES,
-                retransmit_limit=schedule.meta.get(
-                    "retransmit_limit", 50)),
-            abp.FAULTY_CHANNELS,
-            abp.service_spec(abp.MESSAGES).combined(),
-            _abp_plans(int(schedule.meta.get("seed", 11))),
-            observe={abp.OUT}, tracer=tracer, fallback=fallback,
-        )
-        return case.outcome, case.result, schedule.meta.get("outcome")
-    if scenario == "dfm":
-        from repro.obs.replay import replay_network
-
-        make_agents, channels = _dfm_network()
-        plan = _dfm_plan(schedule.meta.get("plan", "none"),
-                         int(schedule.meta.get("seed", 11)))
-        report = replay_network(
-            schedule, make_agents(), channels, fault_plan=plan,
-            tracer=tracer, fallback=fallback,
-        )
-        return None, report.result, None
-    raise KeyError(
-        f"schedule has no replayable scenario "
-        f"(meta['scenario'] = {scenario!r})")
+    case = replay_conformance_case(
+        schedule, sc.agents, sc.channels, sc.spec, sc.plans,
+        observe=sc.observe, policy=sc.policy, depth=sc.depth,
+        tracer=tracer, fallback=fallback)
+    return case.outcome, case.result, schedule.meta.get("outcome")
 
 
 def _replay_witness_schedule(schedule) -> int:
@@ -465,20 +324,20 @@ def _replay_witness_schedule(schedule) -> int:
     from repro.core import SmoothSolutionSolver
     from repro.obs.replay import ReplayDivergence
 
-    scenario = (schedule.meta.get("scenario")
-                or schedule.meta.get("description"))
     try:
-        spec, channels, _ = _solve_spec(scenario, None)
+        sc = _resolve_scenario(schedule.meta.get("scenario")
+                               or schedule.meta.get("description"))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    solver = SmoothSolutionSolver.over_channels(spec, channels)
+    solver = SmoothSolutionSolver.over_channels(sc.spec,
+                                                sc.solve_channels)
     try:
         trace = solver.replay_witness(schedule)
     except ReplayDivergence as exc:
         print(f"witness replay DIVERGED: {exc}")
         return 1
-    limit = spec.limit_holds(trace, solver.limit_depth)
+    limit = sc.spec.limit_holds(trace, solver.limit_depth)
     recorded = schedule.meta.get("limit_holds")
     print(f"witness path re-walked: {trace}")
     print(f"limit condition: {limit} (recorded: {recorded})")
@@ -510,7 +369,8 @@ def _replay_bundle(path: pathlib.Path) -> int:
 def cmd_replay(path: str, lenient: bool) -> int:
     """Replay a schedule JSON (exit 0 iff the run digest matches) or
     a quarantine bundle (exit 0 iff the failure reproduces)."""
-    from repro.obs.recorder import Schedule
+    from repro.obs.recorder import Schedule, ScheduleExhausted
+    from repro.obs.replay import ReplayDivergence
     from repro.report import render_schedule
 
     target = pathlib.Path(path)
@@ -529,15 +389,17 @@ def cmd_replay(path: str, lenient: bool) -> int:
     print(render_schedule(schedule, max_decisions=4))
     if schedule.meta.get("kind") == "solver-path":
         return _replay_witness_schedule(schedule)
-    outcome, result, recorded_outcome = _replay_schedule(
-        schedule, lenient)
+    try:
+        outcome, result, recorded_outcome = _replay_schedule(
+            schedule, lenient)
+    except (ReplayDivergence, ScheduleExhausted) as exc:
+        print(f"replay DIVERGED from the recording: {exc}")
+        return 1
     expected = schedule.meta.get("digest", "")
     actual = result.digest()
-    ok = actual == expected
-    if outcome is not None:
-        print(f"outcome: {outcome} "
-              f"(recorded: {recorded_outcome})")
-        ok = ok and outcome == recorded_outcome
+    ok = actual == expected and outcome == recorded_outcome
+    print(f"outcome: {outcome} "
+          f"(recorded: {recorded_outcome})")
     print(f"digest:  {actual[:16]} "
           f"(recorded: {expected[:16] or '<missing>'})")
     print("replay " + ("MATCHES the recording"
@@ -670,8 +532,7 @@ def cmd_shrink(path: str, out: str | None) -> int:
     outcome, result, _ = _replay_schedule(small, lenient=True)
     small.meta["original_digest"] = recorded_digest
     small.meta["digest"] = result.digest()
-    if outcome is not None:
-        small.meta["outcome"] = outcome
+    small.meta["outcome"] = outcome
     out = out or str(pathlib.Path(path).with_suffix(".min.json"))
     small.save(out)
     print(f"shrunk {len(schedule)} -> {len(small)} decision(s); "
@@ -680,25 +541,29 @@ def cmd_shrink(path: str, out: str | None) -> int:
     return 0
 
 
-def _build_fleet_policy(cell_timeout: float | None,
-                        retries: int | None,
-                        quarantine_dir: str | None,
-                        chaos: str | None, chaos_seed: int):
-    """Shared ``grid``/``top`` fleet-option parsing.
+def _grid_inputs(scenario: str, plan_names: list[str] | None,
+                 cell_timeout: float | None, retries: int | None,
+                 quarantine_dir: str | None, chaos: str | None,
+                 chaos_seed: int):
+    """Shared ``grid``/``top`` argument resolution.
 
-    Returns a :class:`~repro.par.FleetPolicy` (or ``None`` when no
-    fleet option was given); raises ``ValueError`` on a bad chaos
-    spec so callers can turn it into exit status 2.
+    Returns ``(plans, fleet)``: the selected plan names (``None`` for
+    the default grid) and a :class:`~repro.par.FleetPolicy` (``None``
+    when no fleet option was given).  Raises ``ValueError`` with the
+    message to print (exit status 2) for an unknown scenario or plan
+    or a bad chaos spec.
     """
     from repro import par
 
+    _resolve_scenario(scenario, plan_names or [])
+    plans = list(dict.fromkeys(plan_names)) if plan_names else None
     if (cell_timeout is None and retries is None
             and quarantine_dir is None and chaos is None):
-        return None
+        return plans, None
     chaos_spec = None
     if chaos is not None:
         chaos_spec = par.ChaosSpec.parse(chaos, seed=chaos_seed)
-    return par.FleetPolicy(
+    return plans, par.FleetPolicy(
         cell_timeout_s=cell_timeout,
         retries=retries if retries is not None else 2,
         quarantine_dir=quarantine_dir,
@@ -786,10 +651,11 @@ def cmd_grid(scenario: str, workers: int, seeds: int,
     registry the worker processes rebuild cells from), so the grid is
     parallelizable by construction.  Exit status is 0 iff every cell
     that *ran* conforms — livelocks and exhausted budgets count as
-    failures here because the built-in scenarios all use fair fault
-    plans; an empty grid (``--seeds 0``) conforms vacuously, and
-    cells lost to the machinery (timeout / crash / quarantine under
-    ``--chaos``) degrade the report without failing the exit status.
+    failures here because the default grid leaves out
+    ``Scenario.unfair``; an empty grid (``--seeds 0``) conforms
+    vacuously, and cells lost to the machinery (timeout / crash /
+    quarantine under ``--chaos``) degrade the report without failing
+    the exit status.
 
     With ``--cache``, cells already in the persistent store are served
     from disk instead of re-run — a warm rerun of the same grid prints
@@ -804,24 +670,9 @@ def cmd_grid(scenario: str, workers: int, seeds: int,
     from repro.report import render_conformance_report
 
     try:
-        sc = par.get_scenario(scenario)
-    except KeyError:
-        print(f"unknown scenario {scenario!r} "
-              f"(choices: {', '.join(par.scenario_names())})",
-              file=sys.stderr)
-        return 2
-    plans = None
-    if plan_names:
-        missing = [p for p in plan_names if p not in sc.plans]
-        if missing:
-            print(f"unknown plan(s) {', '.join(missing)} "
-                  f"(choices: {', '.join(sorted(sc.plans))})",
-                  file=sys.stderr)
-            return 2
-        plans = {name: sc.plans[name] for name in plan_names}
-    try:
-        fleet = _build_fleet_policy(cell_timeout, retries,
-                                    quarantine_dir, chaos, chaos_seed)
+        plans, fleet = _grid_inputs(scenario, plan_names, cell_timeout,
+                                    retries, quarantine_dir, chaos,
+                                    chaos_seed)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -890,24 +741,9 @@ def cmd_top(scenario: str, workers: int, seeds: int,
     )
 
     try:
-        sc = par.get_scenario(scenario)
-    except KeyError:
-        print(f"unknown scenario {scenario!r} "
-              f"(choices: {', '.join(par.scenario_names())})",
-              file=sys.stderr)
-        return 2
-    plans = None
-    if plan_names:
-        missing = [p for p in plan_names if p not in sc.plans]
-        if missing:
-            print(f"unknown plan(s) {', '.join(missing)} "
-                  f"(choices: {', '.join(sorted(sc.plans))})",
-                  file=sys.stderr)
-            return 2
-        plans = {name: sc.plans[name] for name in plan_names}
-    try:
-        fleet = _build_fleet_policy(cell_timeout, retries,
-                                    quarantine_dir, chaos, chaos_seed)
+        plans, fleet = _grid_inputs(scenario, plan_names, cell_timeout,
+                                    retries, quarantine_dir, chaos,
+                                    chaos_seed)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -974,23 +810,32 @@ def cmd_top(scenario: str, workers: int, seeds: int,
 
 
 def _git_sha() -> str:
-    """Best-effort commit SHA for trajectory entries."""
+    """Best-effort SHA of the measured tree for trajectory entries:
+    ``$GITHUB_SHA``, else ``HEAD`` — suffixed ``+dirty`` when tracked
+    files differ from it, so an entry measured on uncommitted changes
+    is not stamped as their parent commit."""
     import os
     import subprocess
 
     env_sha = os.environ.get("GITHUB_SHA")
     if env_sha:
         return env_sha
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True,
-            text=True, timeout=10,
+
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=10,
             cwd=pathlib.Path(__file__).resolve().parents[2])
-        if out.returncode == 0:
-            return out.stdout.strip()
+
+    try:
+        head = git("rev-parse", "HEAD")
+        if head.returncode != 0:
+            return "unknown"
+        status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.SubprocessError):
-        pass
-    return "unknown"
+        return "unknown"
+    sha = head.stdout.strip()
+    dirty = status.returncode == 0 and status.stdout.strip()
+    return f"{sha}+dirty" if dirty else sha
 
 
 def cmd_bench_append(core: str, history: str,
@@ -1034,35 +879,7 @@ def cmd_bench_check(core: str, history: str, strict: bool,
     return 0 if result.ok else 1
 
 
-#: Scenarios the ``solve`` command can build a specification for.
-SOLVE_SCENARIOS = ("dfm", "alternating_bit")
-
-
-def _solve_spec(scenario: str, depth: int | None):
-    """Build a scenario's specification for the solver commands;
-    returns ``(spec, channels, depth)``."""
-    if scenario == "dfm":
-        from repro.channels import Channel
-        from repro.core import Description, combine
-        from repro.functions import chan, even_of, odd_of
-
-        b = Channel("b", alphabet={0, 2})
-        c = Channel("c", alphabet={1, 3})
-        d = Channel("d", alphabet={0, 1, 2, 3})
-        spec = combine([
-            Description(even_of(chan(d)), chan(b)),
-            Description(odd_of(chan(d)), chan(c)),
-        ], name="dfm")
-        return spec, [b, c, d], 4 if depth is None else depth
-    if scenario == "alternating_bit":
-        abp = _import_example("alternating_bit")
-        spec = abp.service_spec(abp.MESSAGES).combined()
-        depth = len(abp.MESSAGES) + 1 if depth is None else depth
-        return spec, [abp.OUT], depth
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def cmd_solve(scenario: str, depth: int | None, max_nodes: int,
+def cmd_solve(scenario: str, depth: int, max_nodes: int,
               budget_seconds: float | None, resume: str | None,
               checkpoint_out: str | None, use_cache: bool,
               cache_dir: str | None, fsync: bool = False,
@@ -1099,13 +916,10 @@ def cmd_solve(scenario: str, depth: int | None, max_nodes: int,
     produces the same digests wherever the search completes.
     """
     from repro.core import SmoothSolutionSolver
+    from repro.par import get_scenario
     from repro.report import render_solver_result
 
-    try:
-        spec, channels, depth = _solve_spec(scenario, depth)
-    except ValueError as exc:  # pragma: no cover - argparse restricts
-        print(str(exc), file=sys.stderr)
-        return 2
+    sc = get_scenario(scenario)
     store = _make_cache(use_cache, cache_dir, fsync=fsync)
     profiling = bool(profile or profile_json or profile_folded)
     tracer = None
@@ -1118,7 +932,7 @@ def cmd_solve(scenario: str, depth: int | None, max_nodes: int,
     compiled = {"auto": None, "reference": False,
                 "compiled": True}[engine]
     solver = SmoothSolutionSolver.over_channels(
-        spec, channels, cache=store, tracer=tracer,
+        sc.spec, sc.solve_channels, cache=store, tracer=tracer,
         compiled=compiled, strategy=strategy, heuristic=heuristic,
         dedup=dedup)
     resume_from = None
@@ -1168,7 +982,7 @@ def cmd_solve(scenario: str, depth: int | None, max_nodes: int,
 
 
 def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
-              depth: int | None, max_nodes: int,
+              depth: int, max_nodes: int,
               budget_seconds: float | None, use_cache: bool,
               cache_dir: str | None, engine: str = "auto",
               strategy: str = "best-first",
@@ -1190,6 +1004,7 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
     """
     from repro.core import SmoothSolutionSolver
     from repro.core.search import PREDICATE_GRAMMAR
+    from repro.par import get_scenario
 
     if (exists is None) == (all_pred is None):
         print("exactly one of --exists P / --all P is required\n"
@@ -1197,16 +1012,12 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
         return 2
     mode = "exists" if exists is not None else "all"
     text = exists if exists is not None else all_pred
-    try:
-        spec, channels, depth = _solve_spec(scenario, depth)
-    except ValueError as exc:  # pragma: no cover - argparse restricts
-        print(str(exc), file=sys.stderr)
-        return 2
+    sc = get_scenario(scenario)
     store = _make_cache(use_cache, cache_dir)
     compiled = {"auto": None, "reference": False,
                 "compiled": True}[engine]
     solver = SmoothSolutionSolver.over_channels(
-        spec, channels, cache=store, compiled=compiled,
+        sc.spec, sc.solve_channels, cache=store, compiled=compiled,
         strategy=strategy, heuristic=heuristic, dedup=dedup)
     try:
         answer = solver.query(text, depth, mode=mode,
@@ -1240,6 +1051,9 @@ def _add_cache_options(sub_parser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.par import scenario_names
+
+    scenarios = scenario_names()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="demo runner for the PODC'89 reproduction",
@@ -1249,35 +1063,40 @@ def main(argv: list[str] | None = None) -> int:
         sub.add_parser(name)
 
     p_trace = sub.add_parser(
-        "trace", help="record an instrumented run, export Perfetto")
+        "trace", help="trace a scenario's default grid for one seed "
+                      "plus a solve, export Perfetto")
     p_trace.add_argument(
-        "example", nargs="?", choices=TRACE_EXAMPLES,
+        "scenario", nargs="?", choices=scenarios,
         default="alternating_bit",
-        help="which example run to record",
+        help="registered scenario to run and solve",
     )
     p_trace.add_argument(
         "-o", "--out", default=None,
-        help="output path (default <example>.perfetto.json)",
+        help="output path (default <scenario>.perfetto.json)",
     )
     p_trace.add_argument(
         "--jsonl", default=None,
         help="also write a JSONL event log here",
     )
     p_trace.add_argument("--seed", type=int, default=11,
-                         help="oracle/fault seed")
-    p_trace.add_argument("--max-steps", type=int, default=4000,
-                         help="runtime step budget")
+                         help="oracle seed of the grid's cells")
+    p_trace.add_argument(
+        "--max-steps", type=int, default=None,
+        help="runtime step budget (default: the scenario's)")
     _add_cache_options(p_trace)
 
     p_record = sub.add_parser(
-        "record", help="flight-record a scenario into a schedule JSON")
-    p_record.add_argument("scenario", choices=RECORD_SCENARIOS)
+        "record", help="flight-record one grid cell into a schedule "
+                       "JSON")
+    p_record.add_argument("scenario", choices=scenarios)
     p_record.add_argument(
         "--plan", default=None,
-        help="fault plan name (alternating_bit: no-faults, fair-loss,"
-             " heavy-loss, loss+dup, black-hole; dfm: none, drop)")
-    p_record.add_argument("--seed", type=int, default=11)
-    p_record.add_argument("--max-steps", type=int, default=4000)
+        help="fault plan name (default: the scenario's first plan)")
+    p_record.add_argument("--seed", type=int, default=11,
+                          help="the cell's oracle seed")
+    p_record.add_argument(
+        "--max-steps", type=int, default=None,
+        help="runtime step budget (default: the scenario's)")
     p_record.add_argument(
         "-o", "--out", default=None,
         help="schedule path (default <scenario>.schedule.json)")
@@ -1329,8 +1148,8 @@ def main(argv: list[str] | None = None) -> int:
         "grid", help="run a scenario's conformance grid "
                      "(parallel with --workers N)")
     p_grid.add_argument(
-        "scenario", nargs="?", default="dfm",
-        help="registered scenario name (e.g. dfm, alternating_bit)")
+        "scenario", nargs="?", default="dfm", choices=scenarios,
+        help="registered scenario name")
     p_grid.add_argument(
         "--workers", type=int, default=1,
         help="worker processes to farm cells over (default 1: serial)")
@@ -1341,7 +1160,7 @@ def main(argv: list[str] | None = None) -> int:
         "--plan", action="append", default=None, dest="plan_names",
         metavar="PLAN",
         help="restrict to this fault plan (repeatable; "
-             "default: all of the scenario's plans)")
+             "default: every plan outside the scenario's unfair ones)")
     p_grid.add_argument(
         "--max-steps", type=int, default=None,
         help="override the scenario's runtime step budget")
@@ -1391,7 +1210,7 @@ def main(argv: list[str] | None = None) -> int:
                     "(streamed telemetry, ETA, cache hit-rate)")
     p_top.add_argument(
         "scenario", nargs="?", default="dfm",
-        help="registered scenario name (e.g. dfm, alternating_bit)")
+        help=f"registered scenario name ({', '.join(scenarios)})")
     p_top.add_argument(
         "--workers", type=int, default=2,
         help="worker processes to farm cells over (default 2)")
@@ -1442,7 +1261,8 @@ def main(argv: list[str] | None = None) -> int:
     p_bappend.add_argument(
         "--sha", default=None,
         help="commit SHA for the entry (default: $GITHUB_SHA, then "
-             "git rev-parse HEAD)")
+             "git rev-parse HEAD, suffixed +dirty for a modified "
+             "tree)")
 
     p_bcheck = sub.add_parser(
         "bench-check",
@@ -1468,11 +1288,11 @@ def main(argv: list[str] | None = None) -> int:
         "solve", help="run the §3.3 solver on a scenario's spec "
                       "(resume with --resume <ckpt.json>)")
     p_solve.add_argument(
-        "scenario", nargs="?", choices=SOLVE_SCENARIOS,
+        "scenario", nargs="?", choices=scenarios,
         default="dfm", help="which specification to explore")
     p_solve.add_argument(
-        "--depth", type=int, default=None,
-        help="depth bound (default: scenario-specific)")
+        "--depth", type=int, default=SOLVE_DEPTH,
+        help=f"depth bound (default {SOLVE_DEPTH})")
     p_solve.add_argument(
         "--max-nodes", type=int, default=200_000,
         help="node budget per call (a resumed run gets a fresh one)")
@@ -1528,7 +1348,7 @@ def main(argv: list[str] | None = None) -> int:
              "exists (--exists P) or all match (--all P) — "
              "short-circuits instead of enumerating")
     p_query.add_argument(
-        "scenario", nargs="?", choices=SOLVE_SCENARIOS,
+        "scenario", nargs="?", choices=scenarios,
         default="dfm", help="which specification to query")
     p_query.add_argument(
         "--exists", default=None, metavar="PRED",
@@ -1538,8 +1358,8 @@ def main(argv: list[str] | None = None) -> int:
         "--all", dest="all_pred", default=None, metavar="PRED",
         help="do all finite smooth solutions satisfy PRED?")
     p_query.add_argument(
-        "--depth", type=int, default=None,
-        help="depth bound (default: scenario-specific)")
+        "--depth", type=int, default=SOLVE_DEPTH,
+        help=f"depth bound (default {SOLVE_DEPTH})")
     p_query.add_argument(
         "--max-nodes", type=int, default=200_000,
         help="node budget (exit 2 when it fires unresolved)")
@@ -1571,7 +1391,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "trace":
-        return cmd_trace(args.example, args.out, args.jsonl,
+        return cmd_trace(args.scenario, args.out, args.jsonl,
                          args.seed, args.max_steps,
                          args.cache, args.cache_dir)
     if args.command == "record":

@@ -84,6 +84,17 @@ class Scenario:
         default_factory=RestartPolicy)
     watchdog_limit: Optional[int] = 500
     depth: int = DEFAULT_DEPTH
+    #: Plans the default grid leaves out: unfair plans whose cells are
+    #: expected to livelock rather than conform.
+    unfair: frozenset[str] = frozenset()
+
+    @property
+    def solve_channels(self) -> list:
+        """The channels ``solve``/``query`` explore the spec over: the
+        observed channels sorted by name, or else all channels."""
+        if self.observe is None:
+            return list(self.channels)
+        return sorted(self.observe, key=lambda ch: ch.name)
 
 
 def register_scenario(name: str,
@@ -236,14 +247,14 @@ def run_conformance_parallel(scenario: str,
     """Run a registered scenario's ``plans × seeds`` grid over
     ``workers`` processes.
 
-    ``plans`` selects plan *names* (default: all the scenario's
-    plans); workers rebuild the actual factories from the registry, so
-    nothing unpicklable crosses the process boundary in either
-    direction except the results themselves.  Cells stream back in
-    grid order and the report is indistinguishable from the serial
-    one — same outcomes, same ``Schedule`` digests — except that
-    ``wall_clock_s`` is what an observer actually waited, not the
-    summed per-cell compute (see
+    ``plans`` selects plan *names* (default: the scenario's default
+    grid, every plan outside :attr:`Scenario.unfair`); workers rebuild
+    the actual factories from the registry, so nothing unpicklable
+    crosses the process boundary in either direction except the
+    results themselves.  Cells stream back in grid order and the
+    report is indistinguishable from the serial one — same outcomes,
+    same ``Schedule`` digests — except that ``wall_clock_s`` is what
+    an observer actually waited, not the summed per-cell compute (see
     :meth:`~repro.faults.harness.ConformanceReport.total_elapsed_s`).
 
     ``workers=None`` uses ``os.process_cpu_count()`` — the CPUs this
@@ -280,7 +291,8 @@ def run_conformance_parallel(scenario: str,
     """
     started = time.monotonic()
     built = get_scenario(scenario)
-    plan_names = list(plans) if plans is not None else list(built.plans)
+    plan_names = (list(plans) if plans is not None
+                  else [p for p in built.plans if p not in built.unfair])
     unknown = [p for p in plan_names if p not in built.plans]
     if unknown:
         raise KeyError(
@@ -481,13 +493,16 @@ def _build_dfm() -> Scenario:
 
 @register_scenario("alternating_bit")
 def _build_alternating_bit() -> Scenario:
-    """The fault-injected ABP grid from ``examples/alternating_bit.py``
-    (fair plans only — every cell should conform)."""
+    """The fault-injected ABP grid from ``examples/alternating_bit.py``.
+
+    The sender never gives up, so every fair-plan cell conforms and the
+    unfair ``black-hole`` plan (left out of the default grid) livelocks.
+    """
     abp = _import_example("alternating_bit")
 
     return Scenario(
         name="abp-direct",
-        agents=abp.direct_agents(abp.MESSAGES),
+        agents=abp.direct_agents(abp.MESSAGES, retransmit_limit=None),
         channels=abp.FAULTY_CHANNELS,
         spec=abp.service_spec(abp.MESSAGES).combined(),
         plans={
@@ -495,8 +510,10 @@ def _build_alternating_bit() -> Scenario:
             "fair-loss": lambda: abp.fair_loss_plan(seed=11),
             "heavy-loss": lambda: abp.fair_loss_plan(seed=23, p=0.5),
             "loss+dup": lambda: abp.loss_and_duplication_plan(seed=5),
+            "black-hole": abp.unfair_loss_plan,
         },
         observe={abp.OUT},
         max_steps=4000,
         watchdog_limit=600,
+        unfair=frozenset({"black-hole"}),
     )

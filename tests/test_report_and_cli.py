@@ -335,6 +335,23 @@ class TestRecorderCli:
         assert main(["replay", str(out), "--lenient"]) == 1
         assert "DIVERGED" in capsys.readouterr().out
 
+    def test_replay_of_a_foreign_schedule_diverges(self, tmp_path,
+                                                    capsys):
+        # decisions that no longer fit the registered network (say, a
+        # schedule recorded before the scenario changed) are reported
+        # as a divergence, not raised as a traceback
+        import json
+
+        from repro.__main__ import main
+
+        out = self._record(tmp_path)
+        doc = json.loads(out.read_text())
+        doc["agent_picks"] = doc["agent_picks"][:3]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 1
+        assert "replay DIVERGED" in capsys.readouterr().out
+
     def test_diff_identical_and_divergent(self, tmp_path, capsys):
         from repro.__main__ import main
 
@@ -374,9 +391,114 @@ class TestRecorderCli:
         from repro.__main__ import main
 
         out = tmp_path / "x.json"
-        assert main(["record", "alternating_bit", "--plan", "bogus",
-                     "-o", str(out)]) == 2
-        assert "unknown plan" in capsys.readouterr().err
+        for scenario in ("alternating_bit", "dfm"):
+            assert main(["record", scenario, "--plan", "bogus",
+                         "-o", str(out)]) == 2
+            assert "unknown plan" in capsys.readouterr().err
+        assert not out.exists()
+
+
+#: Every plan of the built-in scenarios, unfair ones included.
+BUILT_IN_PLANS = {
+    "dfm": ("none", "drop", "heavy-drop"),
+    "alternating_bit": ("no-faults", "fair-loss", "heavy-loss",
+                        "loss+dup", "black-hole"),
+}
+
+
+class TestRecordingIsAGridCell:
+    """``record S --plan P --seed K`` records exactly grid cell
+    ``(P, K)`` of the registered scenario ``S``, and the schedule
+    replays to the recorded verdict and digest."""
+
+    def test_table_covers_every_registered_plan(self):
+        from repro.par import get_scenario
+
+        for name, plans in BUILT_IN_PLANS.items():
+            assert tuple(get_scenario(name).plans) == plans
+
+    @pytest.mark.parametrize("scenario, plan", [
+        (name, plan) for name, plans in BUILT_IN_PLANS.items()
+        for plan in plans])
+    def test_record_is_the_cell_and_replays(self, scenario, plan,
+                                            tmp_path, capsys):
+        from repro import par
+        from repro.__main__ import main
+        from repro.obs.recorder import Schedule
+
+        sc = par.get_scenario(scenario)
+        cell = par.run_cell(par.CellTask(scenario, plan, 3,
+                                         sc.max_steps))
+        out = tmp_path / "cell.schedule.json"
+        assert main(["record", scenario, "--plan", plan, "--seed", "3",
+                     "-o", str(out)]) == 0
+        recorded = Schedule.load(str(out))
+        assert recorded.meta["digest"] == cell.schedule.meta["digest"]
+        assert recorded.digest() == cell.schedule.digest()
+        assert recorded.meta["outcome"] == cell.outcome
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 0
+        assert "MATCHES" in capsys.readouterr().out
+
+
+class TestOneScenarioRegistry:
+    """One registry entry defines a scenario for every subcommand."""
+
+    def test_registered_scenario_reaches_every_subcommand(
+            self, tmp_path, capsys):
+        from repro import par
+        from repro.__main__ import main
+
+        name = "test-cli-registry-scratch"
+        try:
+            par.register_scenario(name,
+                                  lambda: par.get_scenario("dfm"))
+            schedule = tmp_path / "s.schedule.json"
+            assert main(["trace", name,
+                         "-o", str(tmp_path / "t.json")]) == 0
+            assert main(["record", name, "--plan", "drop",
+                         "-o", str(schedule)]) == 0
+            assert main(["replay", str(schedule)]) == 0
+            assert "MATCHES" in capsys.readouterr().out
+            assert main(["solve", name]) == 0
+            assert "result digest b0b87ee9b724" in \
+                capsys.readouterr().out
+            assert main(["query", name, "--exists", "on:b >= 1"]) == 0
+            assert main(["grid", name, "--seeds", "1"]) == 0
+        finally:
+            par._SCENARIOS.pop(name, None)
+
+    @pytest.mark.parametrize("scenario, digest", [
+        ("dfm", "b0b87ee9b724"),
+        ("alternating_bit", "524e35fe367e"),
+    ])
+    def test_default_depth_solve_digest(self, scenario, digest,
+                                        capsys):
+        from repro.__main__ import main
+
+        assert main(["solve", scenario]) == 0
+        assert f"result digest {digest}" in capsys.readouterr().out
+
+    def test_default_grid_leaves_out_the_unfair_plan(self, capsys):
+        import re
+
+        from repro.__main__ import main
+
+        assert main(["grid", "alternating_bit", "--seeds", "2"]) == 0
+        out = capsys.readouterr().out
+        rows = re.findall(r"^  (\S+) +(.+)$", out, re.M)
+        assert rows == [("fair-loss", "conforms: 2"),
+                        ("heavy-loss", "conforms: 2"),
+                        ("loss+dup", "conforms: 2"),
+                        ("no-faults", "conforms: 2")]
+
+    def test_unfair_plan_runs_on_request_and_livelocks(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["grid", "alternating_bit", "--plan", "black-hole",
+                     "--seeds", "1"]) == 1
+        assert "[black-hole × seed 0] livelock" in \
+            capsys.readouterr().out
 
 
 class TestSolveCli:
@@ -727,6 +849,46 @@ class TestBenchCli:
                      "--core", str(tmp_path / "absent.json"),
                      "--history", str(tmp_path / "h.jsonl")]) == 2
         assert "cannot load" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("porcelain, stamp", [
+        ("", "abc123"),
+        (" M src/repro/par/__init__.py\n", "abc123+dirty"),
+    ])
+    def test_append_stamps_the_measured_tree(self, porcelain, stamp,
+                                             tmp_path, monkeypatch,
+                                             capsys):
+        import json
+        import subprocess
+
+        from repro.__main__ import _git_sha, main
+
+        calls = []
+
+        def fake_run(cmd, **_kwargs):
+            calls.append(cmd)
+            out = "abc123\n" if cmd[1] == "rev-parse" else porcelain
+            return subprocess.CompletedProcess(cmd, 0, stdout=out,
+                                               stderr="")
+
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        assert _git_sha() == stamp
+        assert ["git", "status", "--porcelain",
+                "--untracked-files=no"] in calls
+        core = tmp_path / "core.json"
+        hist = tmp_path / "hist.jsonl"
+        self._write_core(core)
+        assert main(["bench-append", "--core", str(core),
+                     "--history", str(hist)]) == 0
+        assert main(["bench-append", "--core", str(core),
+                     "--history", str(hist), "--sha", "given"]) == 0
+        monkeypatch.setenv("GITHUB_SHA", "from-ci")
+        assert main(["bench-append", "--core", str(core),
+                     "--history", str(hist)]) == 0
+        shas = [json.loads(line)["sha"]
+                for line in hist.read_text().splitlines()]
+        assert shas == [stamp, "given", "from-ci"]
+        del capsys  # output checked via the history file
 
 
 class TestTopCli:
