@@ -997,13 +997,13 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
     the default best-first + rhs-distance exploration it typically
     answers under a node budget where ``solve`` truncates.  Exit
     codes: 0 the question holds, 1 it does not, 2 unresolved at this
-    budget (or bad arguments).
+    budget (or bad arguments, e.g. a predicate's unknown channel).
 
     ``--witness-out`` writes the settling trace's replayable schedule
     JSON (the same format ``replay`` understands for solver paths).
     """
     from repro.core import SmoothSolutionSolver
-    from repro.core.search import PREDICATE_GRAMMAR
+    from repro.core.search import PREDICATE_GRAMMAR, parse_predicate
     from repro.par import get_scenario
 
     if (exists is None) == (all_pred is None):
@@ -1020,7 +1020,14 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
         sc.spec, sc.solve_channels, cache=store, compiled=compiled,
         strategy=strategy, heuristic=heuristic, dedup=dedup)
     try:
-        answer = solver.query(text, depth, mode=mode,
+        predicate = parse_predicate(text)
+        names = [ch.name for ch in sc.solve_channels]
+        unknown = sorted(predicate.channels.difference(names))
+        if unknown:
+            raise ValueError(f"unknown channel {', '.join(unknown)} in "
+                             f"the predicate; {scenario} is solved over "
+                             f"{', '.join(names)}")
+        answer = solver.query(predicate, depth, mode=mode,
                               max_nodes=max_nodes,
                               budget_seconds=budget_seconds)
     except ValueError as exc:

@@ -24,7 +24,7 @@ the rule, reproducing that observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.core.description import DEFAULT_DEPTH, Description
 from repro.core.solver import SmoothSolutionSolver
@@ -53,10 +53,14 @@ class InductionReport:
     step_failures: list[PremiseFailure]
     edges_checked: int
     depth: int
+    truncation_reason: str = ""
 
     @property
-    def premises_hold(self) -> bool:
-        return self.base_holds and not self.step_failures
+    def premises_hold(self) -> Optional[bool]:
+        """``None`` (unknown) when the budget fired before a failure."""
+        if not self.base_holds or self.step_failures:
+            return False
+        return None if self.truncation_reason else True
 
 
 def check_premises_on_tree(solver: SmoothSolutionSolver,
@@ -67,28 +71,27 @@ def check_premises_on_tree(solver: SmoothSolutionSolver,
     The solver tree's edges are precisely the pairs ``u pre v`` with
     ``f(v) ⊑ g(u)`` — the strengthened trace form of the rule's
     hypothesis — so edge-wise checking is exactly the rule's premise,
-    restricted to the explored depth.
+    restricted to the explored depth.  An edge is a non-root node
+    ``v`` (its parent ``u`` is ``v`` without the last event), so the
+    check is a node watch on ``solver.explore``.
     """
     base = phi(Trace.empty())
     failures: list[PremiseFailure] = []
-    edges = 0
-    level = [Trace.empty()]
-    for _ in range(max_depth):
-        next_level = []
-        for u in level:
-            for v in solver.children(u):
-                edges += 1
-                if phi(u) and not phi(v):
-                    failures.append(PremiseFailure(u=u, v=v))
-                next_level.append(v)
-        level = next_level
-        if not level:
-            break
+
+    def watch(v: Trace) -> str:
+        n = v.length()
+        if n == 0:  # the root, where a compiled→reference fallback restarts
+            failures.clear()
+        elif phi(u := v.take(n - 1)) and not phi(v):
+            failures.append(PremiseFailure(u=u, v=v))
+        return ""
+
+    watch.every_node = True
+    result = solver.explore(max_depth, _watch=watch)
     return InductionReport(
-        base_holds=base,
-        step_failures=failures,
-        edges_checked=edges,
-        depth=max_depth,
+        base_holds=base, step_failures=failures,
+        edges_checked=result.nodes_explored - 1, depth=max_depth,
+        truncation_reason=result.truncation_reason,
     )
 
 
@@ -102,7 +105,7 @@ def conclude(report: InductionReport, description: Description,
     via :func:`holds_on_prefixes`.
     """
     return (
-        report.premises_hold
+        report.premises_hold is True
         and description.is_smooth_solution(solution, depth)
     )
 

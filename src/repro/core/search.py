@@ -184,10 +184,11 @@ def _split_op(text: str) -> Tuple[str, str, int]:
         + PREDICATE_GRAMMAR)
 
 
-def _parse_clause(text: str) -> Callable[[Any], bool]:
+def _parse_clause(text: str) -> Tuple[Callable[[Any], bool], str]:
+    """One clause as ``(test, channel name it mentions or "")``."""
     text = text.strip()
     if text == "true":
-        return lambda trace: True
+        return (lambda trace: True), ""
     if text.startswith("msg:"):
         parts = text.split(":", 2)
         if len(parts) != 3 or not parts[1]:
@@ -195,17 +196,17 @@ def _parse_clause(text: str) -> Callable[[Any], bool]:
                 f"predicate clause {text!r}: expected "
                 "msg:CHANNEL:REPR\n" + PREDICATE_GRAMMAR)
         channel, message_repr = parts[1], parts[2]
-        return lambda trace: any(
+        return (lambda trace: any(
             e.channel.name == channel and repr(e.message) == message_repr
-            for e in trace)
+            for e in trace)), channel
     left, op, n = _split_op(text)
     cmp = _OPS[op]
     if left == "length":
-        return lambda trace: cmp(trace.length(), n)
+        return (lambda trace: cmp(trace.length(), n)), ""
     if left.startswith("on:") and len(left) > 3:
         channel = left[3:]
-        return lambda trace: cmp(
-            sum(1 for e in trace if e.channel.name == channel), n)
+        return (lambda trace: cmp(
+            sum(1 for e in trace if e.channel.name == channel), n)), channel
     raise ValueError(
         f"predicate clause {text!r} not understood\n"
         + PREDICATE_GRAMMAR)
@@ -215,20 +216,22 @@ def parse_predicate(text: str) -> Callable[[Any], bool]:
     """Compile the textual predicate form into ``Trace -> bool``.
 
     The returned callable carries the normalized text on a ``source``
-    attribute for reporting.  Raises ``ValueError`` (with the grammar)
-    on anything it does not understand.
+    attribute for reporting and the channel names its clauses mention
+    on ``channels``.  Raises ``ValueError`` (with the grammar) on
+    anything it does not understand.
     """
     clauses = [c for c in (part.strip() for part in text.split(","))
                if c]
     if not clauses:
         raise ValueError(
             "empty predicate\n" + PREDICATE_GRAMMAR)
-    compiled = [_parse_clause(c) for c in clauses]
+    parsed = [_parse_clause(c) for c in clauses]
 
     def predicate(trace: Any) -> bool:
-        return all(c(trace) for c in compiled)
+        return all(test(trace) for test, _channel in parsed)
 
     predicate.source = ", ".join(clauses)
+    predicate.channels = frozenset(ch for _test, ch in parsed if ch)
     return predicate
 
 

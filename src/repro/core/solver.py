@@ -401,7 +401,10 @@ class SmoothSolutionSolver:
         returns the rebuilt result on a hit; completed (and
         deterministically node-budget-truncated) results are stored
         back.  Wall-clock-truncated results are never cached — where
-        the clock fires is not a function of the inputs.
+        the clock fires is not a function of the inputs — and a
+        ``_watch`` publishing ``every_node`` (see
+        :meth:`_explore_ordered`) skips the cache: a hit would skip
+        every node it must see.
 
         With a tracer attached the exploration additionally emits
         ``solver.*`` spans/events (per-level spans, prune / accept /
@@ -439,7 +442,8 @@ class SmoothSolutionSolver:
             profile = SolverProfile()
             metrics = MetricsRegistry()
         cache_key = None
-        if self.cache is not None and resume_from is None:
+        if self.cache is not None and resume_from is None \
+                and not getattr(_watch, "every_node", False):
             from repro.cache.keys import solver_cache_key
 
             cache_key = solver_cache_key(
@@ -714,8 +718,9 @@ class SmoothSolutionSolver:
         ``result.unvisited``.  With a tracer, a FIFO walk also
         narrates its BFS levels (see :class:`_LevelLog`).
 
-        ``watch`` is the query hook: called with each finite solution
-        as it is classified; a truthy return value early-exits the
+        ``watch`` is the question hook: called with each finite
+        solution as it is classified (with every node if it publishes
+        ``every_node = True``); a truthy return value early-exits the
         search with that string as the truncation reason, parking the
         remaining frontier as ``unvisited`` (the result stays a sound,
         resumable under-approximation).
@@ -724,6 +729,7 @@ class SmoothSolutionSolver:
         tracing = tracer.enabled
         max_depth, max_nodes = run.max_depth, run.max_nodes
         deadline, watch = run.deadline, run.watch
+        every_node = getattr(watch, "every_node", False)
         heuristic = get_heuristic(
             "depth" if self.strategy == "bfs" else self.heuristic)
         fifo = heuristic.name == "depth"
@@ -800,9 +806,8 @@ class SmoothSolutionSolver:
                 _rank, _seq, depth, node, fu, gu = heapq.heappop(frontier)
             limit = limit_fn(node, fu, gu)
             kids = edges(node, fu, gu) if depth < max_depth else None
-            trace = None
+            trace = trace_of(node) if limit or every_node else None
             if limit:
-                trace = trace_of(node)
                 result.finite_solutions.append(trace)
                 if tracing:
                     tracer.event(
@@ -811,10 +816,9 @@ class SmoothSolutionSolver:
             if kids is None:
                 # at the bound: frontier if extendable
                 if probe(node, fu, gu)[0]:
-                    result.frontier.append(
-                        trace if limit else trace_of(node))
+                    result.frontier.append(trace or trace_of(node))
                 elif not limit:
-                    result.dead_ends.append(trace_of(node))
+                    result.dead_ends.append(trace or trace_of(node))
             elif kids:
                 if fifo:
                     frontier.extend(kids)
@@ -822,13 +826,13 @@ class SmoothSolutionSolver:
                     for child, fv in kids:
                         push(depth + 1, child, fv)
             elif not limit:
-                trace = trace_of(node)
+                trace = trace or trace_of(node)
                 result.dead_ends.append(trace)
                 if tracing:
                     tracer.event(
                         "solver.dead_end", category="solver",
                         track="solver", node=repr(trace), depth=depth)
-            if limit and watch is not None:
+            if (limit or every_node) and watch is not None:
                 stop = watch(trace)
                 if stop:
                     park(stop)
@@ -871,6 +875,7 @@ class SmoothSolutionSolver:
         tracing = tracer.enabled
         max_depth, max_nodes = run.max_depth, run.max_nodes
         deadline, watch = run.deadline, run.watch
+        every_node = getattr(watch, "every_node", False)
         g, limit_fn, edges = engine.g, engine.limit, engine.edges
         probe, trace_of = engine.probe, engine.trace
         meta = {} if checkpoint is None else checkpoint.meta
@@ -935,7 +940,7 @@ class SmoothSolutionSolver:
                     result.frontier.append(trace)
                 elif not limit:
                     result.dead_ends.append(trace)
-                if limit and watch is not None:
+                if (limit or every_node) and watch is not None:
                     stop = watch(trace)
                     if stop:
                         break
@@ -1125,22 +1130,6 @@ class SmoothSolutionSolver:
                     actual=live)
             u = matched
         return u
-
-    def iter_paths(self, max_depth: int) -> Iterator[Trace]:
-        """Depth-first enumeration of all maximal-at-bound tree paths."""
-
-        def go(u: Trace, depth: int) -> Iterator[Trace]:
-            if depth == max_depth:
-                yield u
-                return
-            extended = False
-            for v in self.children(u):
-                extended = True
-                yield from go(v, depth + 1)
-            if not extended:
-                yield u
-
-        yield from go(Trace.empty(), 0)
 
     # -- queries --------------------------------------------------------------
 

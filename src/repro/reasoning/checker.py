@@ -31,22 +31,23 @@ class SafetyReport:
     nodes_checked: int
     depth: int
     counterexample: Optional[Trace] = None
+    truncation_reason: str = ""
 
     @property
-    def holds(self) -> bool:
-        return self.counterexample is None
+    def holds(self) -> Optional[bool]:
+        """``None`` (unknown) when the budget fired before a failure."""
+        if self.counterexample is not None:
+            return False
+        return None if self.truncation_reason else True
 
     def __str__(self) -> str:
-        if self.holds:
-            return (
-                f"safety {self.property_name!r} holds on "
-                f"{self.nodes_checked} reachable histories "
-                f"(depth {self.depth})"
-            )
-        return (
-            f"safety {self.property_name!r} VIOLATED by "
-            f"{self.counterexample!r}"
-        )
+        name = f"safety {self.property_name!r}"
+        if self.holds is False:
+            return f"{name} VIOLATED by {self.counterexample!r}"
+        verdict = "holds on" if self.holds else "unknown after"
+        text = (f"{name} {verdict} {self.nodes_checked} reachable "
+                f"histories (depth {self.depth})")
+        return text if self.holds else f"{text}: {self.truncation_reason}"
 
 
 @dataclass
@@ -76,27 +77,22 @@ class ProgressReport:
 def check_safety(solver: SmoothSolutionSolver,
                  prop: SafetyProperty,
                  max_depth: int) -> SafetyReport:
-    """Verify the property on every tree node up to ``max_depth``."""
-    nodes = 0
-    level = [Trace.empty()]
-    for _ in range(max_depth + 1):
-        next_level = []
-        for u in level:
-            nodes += 1
-            if not prop(u):
-                return SafetyReport(
-                    property_name=prop.name,
-                    nodes_checked=nodes,
-                    depth=max_depth,
-                    counterexample=u,
-                )
-            next_level.extend(solver.children(u))
-        level = next_level
-        if not level:
-            break
+    """Verify the property on every tree node up to ``max_depth``: a
+    node watch on ``solver.explore`` that stops at the first failure."""
+    found: list[Trace] = []
+
+    def watch(u: Trace) -> str:
+        if prop(u):
+            return ""
+        found.append(u)
+        return "safety: counterexample found"
+
+    watch.every_node = True
+    result = solver.explore(max_depth, _watch=watch)
     return SafetyReport(
-        property_name=prop.name, nodes_checked=nodes,
-        depth=max_depth,
+        property_name=prop.name, nodes_checked=result.nodes_explored,
+        depth=max_depth, counterexample=found[0] if found else None,
+        truncation_reason="" if found else result.truncation_reason,
     )
 
 

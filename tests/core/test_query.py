@@ -165,6 +165,10 @@ class TestPredicateLanguage:
         pred = parse_predicate(" on:b >= 1 ,  length <= 4 ")
         assert pred.source == "on:b >= 1, length <= 4"
 
+    def test_channels_attribute_names_the_mentioned_channels(self):
+        pred = parse_predicate("on:b >= 1, msg:d:2, length <= 4, true")
+        assert pred.channels == {"b", "d"}
+
     @pytest.mark.parametrize("junk", [
         "", "   ", "garbage", "length >>= 3", "length <= x",
         "msg:", "msg:d", "on: >= 1",

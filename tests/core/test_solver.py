@@ -172,13 +172,6 @@ class TestExploration:
         assert "generator bug" in str(info.value)
         assert info.value.trace.length() == 1
 
-    def test_iter_paths(self):
-        desc = dfm()
-        solver = SmoothSolutionSolver.over_channels(desc, [B, C, D])
-        paths = list(solver.iter_paths(2))
-        assert all(p.length() <= 2 for p in paths)
-        assert paths  # nonempty
-
 
 class TestRhsGuidedCandidates:
     def test_fig3_enumeration(self):

@@ -501,6 +501,28 @@ class TestOneScenarioRegistry:
             capsys.readouterr().out
 
 
+class TestQueryCli:
+    @pytest.mark.parametrize("argv", [
+        ["dfm", "--depth", "3", "--exists", "on:e >= 1"],
+        ["dfm", "--depth", "3", "--all", "msg:B:0, length >= 0"],
+        ["alternating_bit", "--depth", "4", "--exists", "on:in >= 1"],
+    ])
+    def test_unknown_channel_exits_two(self, argv, capsys):
+        from repro.__main__ import main
+
+        # a clause over a channel the traces never carry counts 0, so
+        # the search would answer a typo definitely
+        assert main(["query", *argv]) == 2
+        assert "unknown channel" in capsys.readouterr().err
+
+    def test_known_channel_still_answers(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["query", "dfm", "--depth", "3",
+                     "--exists", "on:b >= 1"]) == 0
+        assert "holds" in capsys.readouterr().out
+
+
 class TestSolveCli:
     def test_complete_run_exits_zero(self, capsys):
         from repro.__main__ import main
