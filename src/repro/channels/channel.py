@@ -20,7 +20,7 @@ from typing import AbstractSet, Any, FrozenSet, Iterable, Optional
 class Channel:
     """A named channel with an optional finite message alphabet."""
 
-    __slots__ = ("name", "alphabet", "auxiliary")
+    __slots__ = ("name", "alphabet", "auxiliary", "_hash")
 
     def __init__(self, name: str,
                  alphabet: Optional[Iterable[Any]] = None,
@@ -33,6 +33,8 @@ class Channel:
             None if alphabet is None else frozenset(alphabet),
         )
         object.__setattr__(self, "auxiliary", bool(auxiliary))
+        # every queue lookup hashes the channel: compute it once
+        object.__setattr__(self, "_hash", hash(("Channel", name)))
 
     def __setattr__(self, *_: Any) -> None:  # pragma: no cover
         raise AttributeError("Channel is immutable")
@@ -54,7 +56,7 @@ class Channel:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Channel", self.name))
+        return self._hash
 
     def __repr__(self) -> str:
         aux = ", aux" if self.auxiliary else ""

@@ -59,6 +59,12 @@ class ChannelFault:
         """Deliveries released by the passage of one runtime step."""
         return []
 
+    @property
+    def releases_on_step(self) -> bool:
+        """Whether :meth:`on_step` can release anything: only a model
+        that overrides it can."""
+        return type(self).on_step is not ChannelFault.on_step
+
     def flush(self) -> List[Any]:
         """Force out everything held in flight (fairness valve)."""
         return []
@@ -313,6 +319,10 @@ class FaultPipeline(ChannelFault):
         for i, fault in enumerate(self.faults):
             out.extend(self._through(fault.on_step(), i + 1))
         return out
+
+    @property
+    def releases_on_step(self) -> bool:
+        return any(fault.releases_on_step for fault in self.faults)
 
     def flush(self) -> List[Any]:
         out: List[Any] = []

@@ -38,6 +38,12 @@ class FaultPlan:
                 fault = FaultPipeline(list(fault))
             fault.bind(channel)
             self.channel_faults[channel] = fault
+        #: the faults whose ``on_step`` can release a message, in plan
+        #: order: the others are skipped on every runtime step
+        self._stepping: List[Tuple[Channel, ChannelFault]] = [
+            (channel, fault)
+            for channel, fault in self.channel_faults.items()
+            if fault.releases_on_step]
         self.agent_faults: Dict[str, AgentWrapper] = dict(agent_faults)
 
     # -- agent side ----------------------------------------------------------
@@ -56,7 +62,7 @@ class FaultPlan:
 
     def on_step(self) -> List[Tuple[Channel, Any]]:
         out: List[Tuple[Channel, Any]] = []
-        for channel, fault in self.channel_faults.items():
+        for channel, fault in self._stepping:
             out.extend((channel, m) for m in fault.on_step())
         return out
 

@@ -144,23 +144,34 @@ class SupervisedRuntime(Runtime):
         self.watchdog_limit = watchdog_limit
         self.restarts: Dict[str, int] = {n: 0 for n in self.factories}
         #: agents waiting out a backoff: name → step at which to resume
+        #: (a deadline is dropped once passed: steps only grow)
         self._resume_at: Dict[str, int] = {}
+        #: agents that failed during the current step
+        self._failed: list[Agent] = []
         self._last_growth_step = 0
         self._watchdog_fired = False
         self._diagnosis = ""
 
     # -- backoff-aware scheduling --------------------------------------------
 
-    def _in_backoff(self, agent: Agent) -> bool:
-        return self._resume_at.get(agent.name, 0) > self.steps
+    def _backing_off(self) -> bool:
+        """Whether some agent is still waiting out a backoff."""
+        resume_at = self._resume_at
+        if resume_at:
+            steps = self.steps
+            for name in [n for n, t in resume_at.items() if t <= steps]:
+                del resume_at[name]
+        return bool(resume_at)
 
     def ready_agents(self) -> list[Agent]:
-        return [a for a in super().ready_agents()
-                if not self._in_backoff(a)]
+        ready = super().ready_agents()
+        if self._resume_at and self._backing_off():
+            return [a for a in ready if a.name not in self._resume_at]
+        return ready
 
     def is_quiescent(self) -> bool:
         # an agent waiting out a backoff will run again: not quiescent
-        if any(t > self.steps for t in self._resume_at.values()):
+        if self._backing_off():
             return False
         return super().is_quiescent()
 
@@ -169,9 +180,10 @@ class SupervisedRuntime(Runtime):
         if super().step(oracle):
             if len(self.history) > grew_from:
                 self._last_growth_step = self.steps
-            self._handle_failures()
+            if self._failed:
+                self._handle_failures()
             return True
-        if any(t > self.steps for t in self._resume_at.values()):
+        if self._backing_off():
             # nothing runnable, but a restart is pending: idle tick
             self.steps += 1
             return True
@@ -179,12 +191,16 @@ class SupervisedRuntime(Runtime):
 
     # -- restarts -------------------------------------------------------------
 
+    def _fail(self, agent: Agent, error: Exception) -> None:
+        super()._fail(agent, error)
+        self._failed.append(agent)
+
     def _handle_failures(self) -> None:
+        """Restart, or give up on, each agent that failed this step."""
+        failed, self._failed = self._failed, []
         if self.policy is None:
             return
-        for agent in self.agents:
-            if agent.state is not AgentState.FAILED:
-                continue
+        for agent in failed:
             if self.restarts[agent.name] >= self.policy.max_restarts:
                 if self._tracing:
                     self.tracer.event(

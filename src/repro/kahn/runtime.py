@@ -65,6 +65,11 @@ class AgentState(enum.Enum):
     FAILED = "failed"
 
 
+# the per-step readiness scan tests states by identity against these
+_READY = AgentState.READY
+_BLOCKED = AgentState.BLOCKED
+
+
 @dataclass
 class AgentFailure:
     """Post-mortem record of one agent-body exception."""
@@ -220,9 +225,10 @@ class Runtime:
                 f"message {message!r} not admitted by "
                 f"channel {channel.name!r}"
             )
-        self._queue(channel)  # reject unknown channels up front
+        queue = self._queue(channel)  # reject unknown channels up front
         if self.fault_plan is None:
-            self._deliver(channel, message)
+            queue.append(message)
+            self.history.append(Event(channel, message))
             return
         if not self._tracing:
             for delivered in self.fault_plan.on_send(channel, message):
@@ -275,20 +281,25 @@ class Runtime:
     # -- agent stepping ------------------------------------------------------
 
     def ready_agents(self) -> list[Agent]:
-        """Agents that can make progress now.
+        """Agents that can make progress now, in agent-index order.
 
         A blocked agent becomes ready when any of its awaited channels
-        has data.
+        has data.  Oracles, recorded schedules and replay index into
+        this list, so its order is part of every run digest.
         """
+        queues = self.queues
         out = []
         for a in self.agents:
-            if a.state in (AgentState.HALTED, AgentState.FAILED):
-                continue
-            if a.state is AgentState.BLOCKED:
-                if any(self.available(c) for c in a.waiting_on):
-                    out.append(a)
-            else:
+            state = a.state
+            if state is _READY:
                 out.append(a)
+            elif state is _BLOCKED:
+                # a blocked agent only awaits wired channels: the
+                # effect that blocked it looked each one up first
+                for c in a.waiting_on:
+                    if queues[c]:
+                        out.append(a)
+                        break
         return out
 
     def is_quiescent(self) -> bool:
@@ -366,18 +377,23 @@ class Runtime:
                 self.metrics.counter("agent.halts").inc()
             return None
         except Exception as error:
-            agent.state = AgentState.FAILED
-            agent.failure = AgentFailure(
-                agent=agent.name, step=self.steps, error=error,
-                traceback=_traceback.format_exc(),
-            )
-            if self._tracing:
-                self.tracer.event(
-                    "agent.fail", category="runtime",
-                    track=agent.name, step=self.steps,
-                    error=f"{type(error).__name__}: {error}")
-                self.metrics.counter("agent.failures").inc()
+            self._fail(agent, error)
             return None
+
+    def _fail(self, agent: Agent, error: Exception) -> None:
+        """Capture ``error``, which is being handled, as ``agent``'s
+        failure."""
+        agent.state = AgentState.FAILED
+        agent.failure = AgentFailure(
+            agent=agent.name, step=self.steps, error=error,
+            traceback=_traceback.format_exc(),
+        )
+        if self._tracing:
+            self.tracer.event(
+                "agent.fail", category="runtime",
+                track=agent.name, step=self.steps,
+                error=f"{type(error).__name__}: {error}")
+            self.metrics.counter("agent.failures").inc()
 
     def _run_one_effect(self, agent: Agent, oracle: Oracle) -> None:
         # resume a blocked receive, or fetch the next effect

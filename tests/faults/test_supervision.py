@@ -13,6 +13,7 @@ from repro.faults import (
 )
 from repro.kahn.effects import Choose, Recv, Send
 from repro.kahn.scheduler import FirstOracle, RandomOracle
+from repro.obs import RingBufferSink, Tracer
 
 B = Channel("b", alphabet={0, 1, 2})
 C = Channel("c", alphabet={0, 1, 2})
@@ -198,6 +199,51 @@ class TestRestartPolicy:
         runtime.step(FirstOracle())  # send
         runtime.step(FirstOracle())  # crash -> restart scheduled
         assert not runtime.is_quiescent()
+
+
+def give_ups(factories, oracle, policy):
+    """Run traced; the run and its ``(agent, restarts)`` give-ups."""
+    sink = RingBufferSink()
+    result = run_supervised(factories, [B, C], oracle, policy=policy,
+                            tracer=Tracer([sink]))
+    return result, [(rec.args["agent"], rec.args["restarts"])
+                    for rec in sink.records
+                    if rec.name == "supervise.give_up"]
+
+
+class TestGiveUp:
+    def test_announced_once_on_the_exhausting_failure(self):
+        def dies():
+            yield Send(B, 0)
+            raise RuntimeError("permanent")
+
+        def chatter():
+            for _ in range(50):
+                yield Send(C, 1)
+
+        result, announced = give_ups(
+            {"dies": dies, "chatter": chatter}, RandomOracle(0),
+            RestartPolicy(max_restarts=1, backoff_initial=2))
+        # the run goes on for ~40 steps after the give-up
+        assert result.steps == 55
+        assert result.failed_agents == ["dies"]
+        assert announced == [("dies", 1)]
+
+    def test_not_announced_again_when_another_agent_fails(self):
+        def early():
+            yield Send(B, 0)
+            raise RuntimeError("early")
+
+        def late():
+            for _ in range(10):
+                yield Send(C, 1)
+            raise RuntimeError("late")
+
+        result, announced = give_ups(
+            {"early": early, "late": late}, FirstOracle(),
+            RestartPolicy(max_restarts=0))
+        assert result.failed_agents == ["early", "late"]
+        assert announced == [("early", 0), ("late", 0)]
 
 
 class TestWatchdog:
