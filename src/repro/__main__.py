@@ -954,11 +954,10 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
     print(render_solver_result(result))
     print(f"result digest {result.digest()}")
     if profiling:
-        from repro.obs import write_collapsed
-        from repro.obs.profile import hotspots
+        from repro.obs import hotspots, write_collapsed
         from repro.report import render_hotspots
 
-        print(render_hotspots(hotspots(result.profile)))
+        print(render_hotspots(hotspots(result.metrics)))
         if profile_json:
             import json
 

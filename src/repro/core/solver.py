@@ -38,6 +38,7 @@ from repro.core.search import (
     parse_predicate,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import solver_profile
 from repro.obs.recorder import Schedule, stable_digest
 from repro.obs.replay import ReplayDivergence
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -164,11 +165,11 @@ class SolverResult:
     unvisited: list[Trace] = field(default_factory=list)
     limit_depth: int = 0
     description_name: str = ""
-    #: per-site cost attribution (:class:`repro.obs.profile
-    #: .SolverProfile` summary) when the solver ran with tracing
-    #: enabled; empty otherwise.  Counters are deterministic, the ns
-    #: columns are wall-clock — neither enters the digest or the
-    #: cache payload.
+    #: per-site cost attribution (:func:`repro.obs.profile
+    #: .solver_profile`'s view of ``metrics``, plus the per-level
+    #: series) when the solver ran with tracing enabled; empty
+    #: otherwise.  Counters are deterministic, the ns columns are
+    #: wall-clock — neither enters the digest or the cache payload.
     profile: dict = field(default_factory=dict)
     #: strategy-private resume state (e.g. the iterative-deepening
     #: iteration counter and tested-node marks).  Carried into
@@ -408,17 +409,23 @@ class SmoothSolutionSolver:
 
         With a tracer attached the exploration additionally emits
         ``solver.*`` spans/events (per-level spans, prune / accept /
-        dead-end / truncate events, ``cache.hit``/``cache.miss``) and
-        fills ``result.metrics``.
+        dead-end / truncate events, ``cache.hit``/``cache.miss``),
+        counts every hot site and walk event in one metrics registry,
+        and fills ``result.metrics`` with its summary and
+        ``result.profile`` with :func:`~repro.obs.profile
+        .solver_profile`'s view of it.
 
         Hot-path discipline: per node ``u`` the right side ``g(u)`` is
-        evaluated exactly once (shared between the limit condition and
-        every candidate's admissibility test), the left side ``f(u)``
-        is carried over from the parent's admissibility scan (each node
+        evaluated once (shared between the limit condition and every
+        candidate's admissibility test), the left side ``f(u)`` is
+        carried over from the parent's admissibility scan (each node
         was once a candidate), and the limit condition is checked
-        exactly once.  The frontier-extendability probe at the depth
-        bound short-circuits at the first admissible candidate instead
-        of re-running the full scan.
+        exactly once.  Iterative deepening is the exception for
+        ``g``: it re-derives the children of every interior node it
+        re-walks, so dfm at depth 4 makes 3,071 ``g`` calls for 2,659
+        nodes.  The frontier-extendability probe at the depth bound
+        short-circuits at the first admissible candidate instead of
+        re-running the full scan.
 
         When the description and candidate generator lie in the
         compilable finite fragment (see :mod:`repro.core.compiled`),
@@ -435,12 +442,7 @@ class SmoothSolutionSolver:
                     else time.monotonic() + budget_seconds)
         tracer = self.tracer
         tracing = tracer.enabled
-        profile = metrics = None
-        if tracing:
-            from repro.obs.profile import SolverProfile
-
-            profile = SolverProfile()
-            metrics = MetricsRegistry()
+        metrics = MetricsRegistry() if tracing else None
         cache_key = None
         if self.cache is not None and resume_from is None \
                 and not getattr(_watch, "every_node", False):
@@ -459,7 +461,7 @@ class SmoothSolutionSolver:
                 cache_key = dict(cache_key,
                                  strategy=self.strategy,
                                  heuristic=self.heuristic)
-            hit = _timed(profile, "cache.get",
+            hit = _timed(metrics, "cache.get",
                          self.cache.get, "solver", cache_key)
             if hit is not None:
                 rebuilt = self._result_from_payload(hit)
@@ -470,7 +472,8 @@ class SmoothSolutionSolver:
                             track="solver",
                             key=self.cache.key_digest(cache_key)[:16],
                             nodes_skipped=rebuilt.nodes_explored)
-                        rebuilt.profile = profile.summary()
+                        rebuilt.metrics = metrics.summary()
+                        rebuilt.profile = solver_profile(rebuilt.metrics)
                     return rebuilt
             if tracing:
                 tracer.event(
@@ -480,11 +483,12 @@ class SmoothSolutionSolver:
             depth=max_depth, limit_depth=self.limit_depth,
             description_name=getattr(self.description, "name", ""))
         run = _Run(max_depth, max_nodes, budget_seconds, deadline,
-                   resume_from, _watch, metrics, profile, cache_key)
+                   resume_from, _watch, metrics,
+                   [] if tracing else None, cache_key)
         if self.compiled is not False:
             from repro.core.compiled import compile_description
 
-            compiled = _timed(profile, "compile.build",
+            compiled = _timed(metrics, "compile.build",
                               compile_description, self.description,
                               self.candidates)
             if compiled is not None:
@@ -536,11 +540,10 @@ class SmoothSolutionSolver:
         neither walk carries code for them.
         """
         tracer = self.tracer
-        if run.profile is not None:
-            engine = _ProfiledEngine(engine, run.profile, run.metrics,
-                                     tracer)
+        if run.metrics is not None:
+            engine = _ProfiledEngine(engine, run.metrics, tracer)
         if self.dedup:
-            engine = _DedupEngine(engine, run.profile)
+            engine = _DedupEngine(engine, run.metrics)
         checkpoint, seeds = self._seeds(engine, result, run)
         with tracer.span("solver.explore", category="solver",
                          track="solver", depth=run.max_depth,
@@ -577,7 +580,7 @@ class SmoothSolutionSolver:
         the price of keeping checkpoints pure JSON.
         """
         if run.resume_from is None:
-            node, fu = _timed(run.profile, "lhs.apply.root",
+            node, fu = _timed(run.metrics, "lhs.apply.root",
                               engine.seed, Trace.empty())
             return None, [(0, node, fu)]
         checkpoint = self._coerce_checkpoint(run.resume_from)
@@ -601,7 +604,7 @@ class SmoothSolutionSolver:
         profile."""
         tracer = self.tracer
         if run.cache_key is not None and self._cacheable(result):
-            _timed(run.profile, "cache.put", self.cache.put, "solver",
+            _timed(run.metrics, "cache.put", self.cache.put, "solver",
                    run.cache_key, result.to_payload())
             if tracer.enabled:
                 tracer.event(
@@ -616,9 +619,8 @@ class SmoothSolutionSolver:
                 len(result.dead_ends))
             metrics.gauge("solver.frontier_size").set(
                 len(result.frontier))
-            run.profile.to_metrics(metrics)
             result.metrics = metrics.summary()
-            result.profile = run.profile.summary()
+            result.profile = solver_profile(result.metrics, run.levels)
         return result
 
     @staticmethod
@@ -768,7 +770,7 @@ class SmoothSolutionSolver:
                 pending.setdefault(depth, []).append((node, fu))
             else:
                 push(depth, node, fu)
-        levels = (_LevelLog(tracer, run.metrics, run.profile, result)
+        levels = (_LevelLog(tracer, run.metrics, run.levels, result)
                   if fifo and tracing else None)
         session = depth = left = 0
         while True:
@@ -840,11 +842,11 @@ class SmoothSolutionSolver:
         if tracing:
             if levels is not None:
                 levels.end(session, len(frontier) - left)
-            label = f"strategy.{self.strategy}"
+            label = f"solver.strategy.{self.strategy}"
             # every pushed node was popped or parked
-            run.profile.bump(label + ".pushed",
-                             session + len(result.unvisited))
-            run.profile.bump(label + ".popped", session)
+            run.metrics.counter(label + ".pushed").inc(
+                session + len(result.unvisited))
+            run.metrics.counter(label + ".popped").inc(session)
         return session
 
     def _explore_deepening(self, engine, result: SolverResult,
@@ -962,8 +964,8 @@ class SmoothSolutionSolver:
                 # iteration: the tree is exhausted
                 break
         if rework and tracing:
-            run.profile.bump("strategy.iterative-deepening.rework",
-                             rework)
+            run.metrics.counter(
+                "solver.strategy.iterative-deepening.rework").inc(rework)
         return session
 
     # -- checkpoint / resume --------------------------------------------------
@@ -1223,7 +1225,8 @@ class _Run(NamedTuple):
     resume_from: Optional[object]
     watch: Optional[Callable[[Trace], str]]
     metrics: Optional[MetricsRegistry]
-    profile: Optional[object]
+    #: the traced FIFO walk's per-level series (see :class:`_LevelLog`)
+    levels: Optional[list]
     cache_key: Optional[dict]
 
 
@@ -1236,32 +1239,50 @@ def _budget_reason(session: int, run: _Run, depth: int) -> str:
             f"at depth {depth}")
 
 
-def _timed(profile, site: str, fn: Callable, *args):
+def _timed(metrics, site: str, fn: Callable, *args):
     """``fn(*args)``, its wall time attributed to ``site`` when a
-    profile is attached."""
-    if profile is None:
+    metrics registry is attached."""
+    if metrics is None:
         return fn(*args)
     t0 = time.perf_counter_ns()
     out = fn(*args)
-    profile.add(site, time.perf_counter_ns() - t0)
+    _charge(metrics, site, time.perf_counter_ns() - t0)
     return out
+
+
+def _charge(metrics: MetricsRegistry, site: str, ns: int,
+            calls: int = 1) -> None:
+    """Count ``calls`` evaluations at ``site`` taking ``ns`` in all."""
+    metrics.counter(f"solver.site.{site}.calls").inc(calls)
+    metrics.counter(f"solver.site.{site}.ns").inc(ns)
 
 
 class _LevelLog:
     """The BFS levels of a traced FIFO walk: one ``solver.level`` span
-    and one entry of the profile's per-level series (width, nodes
-    expanded, solutions accepted, dead ends) per level."""
+    and one entry of the run's per-level series per level.  An entry
+    holds the level's depth, width and wall time, and what happened
+    in it (candidates proposed and pruned, nodes expanded, solutions
+    accepted, dead ends) as the difference between the run's counts
+    at the level's start and at its end."""
 
-    __slots__ = ("tracer", "metrics", "profile", "result", "span",
+    __slots__ = ("tracer", "metrics", "levels", "result", "span",
                  "depth", "width", "base", "t0")
 
-    def __init__(self, tracer: Tracer, metrics, profile,
-                 result: SolverResult) -> None:
+    def __init__(self, tracer: Tracer, metrics: MetricsRegistry,
+                 levels: list, result: SolverResult) -> None:
         self.tracer = tracer
         self.metrics = metrics
-        self.profile = profile
+        self.levels = levels
         self.result = result
         self.span = None
+
+    def _counts(self, session: int) -> dict:
+        metrics, result = self.metrics, self.result
+        return {"proposed": metrics.count("solver.candidates_proposed"),
+                "pruned": metrics.count("solver.candidates_pruned"),
+                "expanded": session,
+                "accepted": len(result.finite_solutions),
+                "dead_ends": len(result.dead_ends)}
 
     def start(self, depth: int, width: int, session: int) -> None:
         self.span = self.tracer.span(
@@ -1269,8 +1290,7 @@ class _LevelLog:
             depth=depth, width=width)
         self.span.__enter__()
         self.depth, self.width = depth, width
-        self.base = (session, len(self.result.finite_solutions),
-                     len(self.result.dead_ends))
+        self.base = self._counts(session)
         self.t0 = time.perf_counter_ns()
 
     def end(self, session: int, next_width: int) -> None:
@@ -1278,15 +1298,12 @@ class _LevelLog:
         queued for the next one."""
         if self.span is None:
             return
-        explored, accepted, dead = self.base
+        entry = {"depth": self.depth, "width": self.width,
+                 "ns": time.perf_counter_ns() - self.t0}
+        entry.update((name, n - self.base[name])
+                     for name, n in self._counts(session).items())
+        self.levels.append(entry)
         self.metrics.gauge("solver.level_width").set(next_width)
-        self.profile.note("expanded", session - explored)
-        self.profile.note(
-            "accepted", len(self.result.finite_solutions) - accepted)
-        self.profile.note("dead_ends",
-                          len(self.result.dead_ends) - dead)
-        self.profile.end_level(self.depth, self.width,
-                               time.perf_counter_ns() - self.t0)
         self.span.__exit__(None, None, None)
         self.span = None
 
@@ -1492,20 +1509,18 @@ class _ProfiledEngine:
 
     Times the evaluation sites — ``rhs.apply``, ``limit_report``, the
     ``lhs.apply.expand`` candidate scan and the ``lhs.apply.probe``
-    frontier test — into the run's
-    :class:`~repro.obs.profile.SolverProfile`, with call counts equal
-    to the evaluation ground truth pinned by
+    frontier test — into the run's ``solver.site.*`` counters, with
+    call counts equal to the evaluation ground truth pinned by
     ``tests/core/test_solver_memo.py``, and narrates each scan: one
-    ``solver.prune`` event per inadmissible candidate, the per-level
-    proposed/pruned notes and the branching metrics.
+    ``solver.prune`` event per inadmissible candidate, the
+    proposed/pruned counters and the branching histogram.
     """
 
-    __slots__ = ("inner", "profile", "metrics", "tracer")
+    __slots__ = ("inner", "metrics", "tracer")
 
-    def __init__(self, inner, profile, metrics: MetricsRegistry,
+    def __init__(self, inner, metrics: MetricsRegistry,
                  tracer: Tracer) -> None:
         self.inner = inner
-        self.profile = profile
         self.metrics = metrics
         self.tracer = tracer
 
@@ -1513,10 +1528,10 @@ class _ProfiledEngine:
         return getattr(self.inner, name)
 
     def g(self, node):
-        return _timed(self.profile, "rhs.apply", self.inner.g, node)
+        return _timed(self.metrics, "rhs.apply", self.inner.g, node)
 
     def limit(self, node, fu, gu) -> bool:
-        return _timed(self.profile, "limit_report", self.inner.limit,
+        return _timed(self.metrics, "limit_report", self.inner.limit,
                       node, fu, gu)
 
     def edges(self, node, fu, gu) -> list:
@@ -1532,19 +1547,18 @@ class _ProfiledEngine:
                     "solver.prune", category="solver", track="solver",
                     node=at, candidate=repr(event),
                     reason="f(v) ⋢ g(u)")
-        self.metrics.counter("solver.candidates_proposed").inc(proposed)
-        self.metrics.counter("solver.candidates_pruned").inc(len(pruned))
-        self.metrics.histogram("solver.branching").record(len(kids))
-        self.profile.add("lhs.apply.expand", ns, calls=proposed)
-        self.profile.note("proposed", proposed)
-        self.profile.note("pruned", len(pruned))
+        metrics = self.metrics
+        metrics.counter("solver.candidates_proposed").inc(proposed)
+        metrics.counter("solver.candidates_pruned").inc(len(pruned))
+        metrics.histogram("solver.branching").record(len(kids))
+        _charge(metrics, "lhs.apply.expand", ns, proposed)
         return kids
 
     def probe(self, node, fu, gu) -> tuple:
         t0 = time.perf_counter_ns()
         found = self.inner.probe(node, fu, gu)
-        self.profile.add("lhs.apply.probe", time.perf_counter_ns() - t0,
-                         calls=found[1])
+        _charge(self.metrics, "lhs.apply.probe",
+                time.perf_counter_ns() - t0, found[1])
         return found
 
 
@@ -1560,12 +1574,12 @@ class _DedupEngine:
     node (``rebase``).  Nodes without a key skip the memo.
     """
 
-    __slots__ = ("inner", "memo", "profile", "_node", "_entry_of_node")
+    __slots__ = ("inner", "memo", "metrics", "_node", "_entry_of_node")
 
-    def __init__(self, inner, profile) -> None:
+    def __init__(self, inner, metrics: Optional[MetricsRegistry]) -> None:
         self.inner = inner
         self.memo: dict = {}
-        self.profile = profile
+        self.metrics = metrics
         self._node = self._entry_of_node = None
 
     def __getattr__(self, name: str):
@@ -1581,8 +1595,8 @@ class _DedupEngine:
                 entry = self.memo.get(key)
                 if entry is None:
                     entry = self.memo[key] = {}
-                    if self.profile is not None:
-                        self.profile.bump("dedup.states")
+                    if self.metrics is not None:
+                        self.metrics.counter("solver.dedup.states").inc()
             self._node, self._entry_of_node = node, entry
         return self._entry_of_node
 
@@ -1591,8 +1605,8 @@ class _DedupEngine:
         if entry is None:
             return compute(node, *args)
         if site in entry:
-            if self.profile is not None:
-                self.profile.bump("dedup.hits")
+            if self.metrics is not None:
+                self.metrics.counter("solver.dedup.hits").inc()
             return entry[site]
         value = entry[site] = compute(node, *args)
         return value
@@ -1609,8 +1623,8 @@ class _DedupEngine:
     def edges(self, node, fu, gu) -> list:
         entry = self._entry(node)
         if entry is not None and "edges" in entry:
-            if self.profile is not None:
-                self.profile.bump("dedup.hits")
+            if self.metrics is not None:
+                self.metrics.counter("solver.dedup.hits").inc()
             return self.inner.rebase(node, entry["edges"])
         kids = self.inner.edges(node, fu, gu)
         if entry is not None:

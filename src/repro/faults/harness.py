@@ -39,7 +39,7 @@ from repro.obs.recorder import (
     Schedule,
     record_fault_rng,
 )
-from repro.obs.replay import ReplayOracle, replay_fault_rng
+from repro.obs.replay import replay_supervised
 from repro.obs.tracer import NULL_TRACER
 
 #: A no-fault grid cell (the control column of every grid).
@@ -445,20 +445,13 @@ def replay_conformance_case(schedule: Schedule,
             f"recorded plan {plan_name!r} is not in the given plan "
             f"factories ({sorted(plans)})"
         )
-    plan = plans[plan_name]()
-    if plan is not None:
-        replay_fault_rng(plan, schedule, strict=fallback is None)
-    oracle = ReplayOracle(schedule, fallback=fallback)
+    replay = replay_supervised(
+        schedule, dict(agents), list(channels),
+        fault_plan=plans[plan_name](), policy=policy, tracer=tracer,
+        fallback=fallback)
     observed = set(observe) if observe is not None else None
-    result = run_supervised(
-        dict(agents), list(channels), oracle,
-        max_steps=int(schedule.meta.get("max_steps", 10_000)),
-        fault_plan=plan, policy=policy,
-        watchdog_limit=schedule.meta.get("watchdog_limit", 500),
-        tracer=tracer,
-    )
     case = _classify(plan_name, schedule.meta.get("seed", -1),
-                     result, spec, observed, depth)
+                     replay.result, spec, observed, depth)
     case.schedule = schedule
     return case
 

@@ -39,7 +39,8 @@ package makes the execution structure itself observable:
   deterministic digest, DOT/JSON/flow-arrow export) and the
   divergence explainer behind ``diff --explain`` / ``why``;
 * :mod:`~repro.obs.profile` — solver hot-path cost attribution
-  (:class:`SolverProfile`) and collapsed-stack (speedscope) export.
+  (:func:`solver_profile`, a view of the solver's metrics) and
+  collapsed-stack (speedscope) export.
 
 Instrumented layers: :mod:`repro.core.solver` (category ``solver``),
 :mod:`repro.kahn.runtime` + :mod:`repro.kahn.scheduler` (categories
@@ -116,10 +117,9 @@ from repro.obs.tracer import (
 )
 from repro.obs.perfetto import to_chrome_trace, write_chrome_trace
 from repro.obs.profile import (
-    SolverProfile,
     collapsed_stacks,
     hotspots,
-    hotspots_from_metrics,
+    solver_profile,
     write_collapsed,
 )
 
@@ -150,7 +150,6 @@ __all__ = [
     "ScheduleDiff",
     "ScheduleExhausted",
     "Sink",
-    "SolverProfile",
     "SpanRecord",
     "StreamDivergence",
     "StreamingSink",
@@ -162,7 +161,6 @@ __all__ = [
     "explain_divergence",
     "explain_records",
     "hotspots",
-    "hotspots_from_metrics",
     "iter_fault_rngs",
     "merge_registries",
     "record_fault_rng",
@@ -171,6 +169,7 @@ __all__ = [
     "replay_supervised",
     "shrink_schedule",
     "snapshot_delta",
+    "solver_profile",
     "split_cells",
     "stable_digest",
     "to_chrome_trace",

@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import QUANTILES
 from repro.obs.exposition import to_json_exposition
-from repro.obs.profile import hotspots_from_metrics
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -203,18 +202,6 @@ def render_html_report(report: Any,
     parts.append("</table>")
 
     if metrics_summary:
-        hotspot_rows = hotspots_from_metrics(metrics_summary)
-        if hotspot_rows:
-            parts.append("<h2>Solver hotspots</h2><table>")
-            parts.append("<tr><th>site</th><th>calls</th>"
-                         "<th>time</th><th>share</th></tr>")
-            for row in hotspot_rows:
-                parts.append(
-                    f'<tr><td class="mono">{_esc(row["site"])}</td>'
-                    f"<td>{_esc(row['calls'])}</td>"
-                    f"<td>{row['ns'] / 1e6:.3f}ms</td>"
-                    f"<td>{row['share'] * 100:.1f}%</td></tr>")
-            parts.append("</table>")
         histograms = {n: v for n, v in metrics_summary.items()
                       if isinstance(v, dict) and "buckets" in v}
         scalars = {n: v for n, v in metrics_summary.items()

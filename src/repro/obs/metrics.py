@@ -187,6 +187,12 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram(name)
             return h
 
+    def count(self, name: str) -> int:
+        """A counter's value, 0 if it does not exist (reading never
+        creates one, so it cannot add a key to the summary)."""
+        c = self._counters.get(name)
+        return 0 if c is None else c.value
+
     def summary(self) -> Dict[str, Any]:
         """Flatten every instrument into one JSON-friendly dict.
 

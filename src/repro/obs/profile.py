@@ -1,19 +1,27 @@
-"""Deterministic solver cost attribution + collapsed-stack export.
+"""Solver cost attribution views + collapsed-stack export.
 
 The ROADMAP's "compile the hot path" item needs evidence before anyone
 touches ``f(v) ⊑ g(u)``: *where does ⊑-evaluation time actually go?*
 This module is that evidence, in two halves:
 
-* :class:`SolverProfile` — per-site evaluation counters and wall-time
-  for the solver's hot sites (``rhs.apply``, ``limit_report``, the
-  ``lhs.apply`` expand/probe scans, cache consults) plus a per-level
-  time series (frontier width, expansions, prunes, dead ends).  The
-  *counters* are deterministic — they must agree with the evaluation
-  counts pinned by ``tests/core/test_solver_memo.py`` (one ``g`` and
-  one limit check per node, ``f`` once per candidate) — while the
-  nanosecond columns are wall-clock and never enter any digest.
-  Filled by :meth:`SmoothSolutionSolver.explore` only when a tracer
-  is attached; ``NULL_TRACER`` runs never allocate one.
+* :func:`solver_profile` — a read-only view of a traced exploration's
+  metrics summary (``SolverResult.metrics``): per-site evaluation
+  counts and wall-time for the solver's hot sites (``rhs.apply``,
+  ``limit_report``, the ``lhs.apply`` expand/probe/root scans, cache
+  consults), kept as ``solver.site.<site>.calls``/``.ns`` counters,
+  the strategy and dedup event counters, and the per-level time
+  series (frontier width, expansions, prunes, dead ends) the BFS walk
+  keeps beside them.  The *counts* are deterministic — they must
+  agree with the evaluation counts pinned by
+  ``tests/core/test_solver_memo.py``: one limit check per node, ``f``
+  once per proposed candidate, and one ``g`` per node on the ordered
+  walks.  Iterative deepening evaluates ``g`` again, and re-proposes
+  the children, at every interior node it re-walks: dfm at depth 4
+  makes 3,071 ``rhs.apply`` calls for 2,659 nodes.  The nanosecond
+  columns are wall-clock and never enter any digest.  Only a traced
+  :meth:`SmoothSolutionSolver.explore` has a registry to read;
+  ``NULL_TRACER`` runs never allocate one.  :func:`hotspots` ranks
+  the same sites by time share.
 
 * :func:`collapsed_stacks` / :func:`write_collapsed` — fold a tracer's
   span records into Brendan-Gregg collapsed-stack lines
@@ -23,133 +31,67 @@ This module is that evidence, in two halves:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 #: Hot-site display order for reports (unknown sites sort after).
 SITE_ORDER = ("compile.build", "rhs.apply", "lhs.apply.expand",
               "lhs.apply.probe", "lhs.apply.root", "limit_report",
               "cache.get", "cache.put")
 
+#: The counters of untimed walk events (strategy pushes/pops,
+#: deepening rework, dedup states and hits).
+_EVENT_COUNTERS = ("solver.strategy.", "solver.dedup.")
 
-class SolverProfile:
-    """Per-site counters/timers and a per-level series for one
-    exploration.  Mutated on the solver's traced path only."""
-
-    __slots__ = ("sites", "levels", "counters", "_pending")
-
-    def __init__(self) -> None:
-        #: site -> [calls, ns]
-        self.sites: Dict[str, List[int]] = {}
-        self.levels: List[Dict[str, int]] = []
-        #: untimed event counters (strategy pushes/pops, dedup hits,
-        #: deepening rework) — deterministic, like the site call counts
-        self.counters: Dict[str, int] = {}
-        self._pending: Dict[str, int] = {}
-
-    def add(self, site: str, ns: int, calls: int = 1) -> None:
-        entry = self.sites.get(site)
-        if entry is None:
-            self.sites[site] = [calls, ns]
-        else:
-            entry[0] += calls
-            entry[1] += ns
-
-    def bump(self, name: str, n: int = 1) -> None:
-        """Count an untimed strategy event (heap push/pop, dedup hit,
-        deepening rework, …)."""
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def note(self, key: str, n: int = 1) -> None:
-        """Accumulate a per-level counter (folded by :meth:`end_level`)."""
-        self._pending[key] = self._pending.get(key, 0) + n
-
-    def end_level(self, depth: int, width: int, ns: int) -> None:
-        entry = {"depth": depth, "width": width, "ns": ns}
-        entry.update(self._pending)
-        self._pending = {}
-        self.levels.append(entry)
-
-    # -- derived -----------------------------------------------------------
-
-    def calls(self, site: str) -> int:
-        entry = self.sites.get(site)
-        return entry[0] if entry else 0
-
-    def f_evaluations(self) -> int:
-        """Total left-side evaluations across every site."""
-        return (self.calls("lhs.apply.expand")
-                + self.calls("lhs.apply.probe")
-                + self.calls("lhs.apply.root"))
-
-    def g_evaluations(self) -> int:
-        """Total right-side evaluations (exactly one per node)."""
-        return self.calls("rhs.apply")
-
-    def summary(self) -> Dict[str, Any]:
-        total_ns = sum(ns for _, ns in self.sites.values())
-        return {
-            "sites": {name: {"calls": calls, "ns": ns}
-                      for name, (calls, ns) in self.sites.items()},
-            "levels": list(self.levels),
-            "counters": dict(self.counters),
-            "total_ns": total_ns,
-            "f_evaluations": self.f_evaluations(),
-            "g_evaluations": self.g_evaluations(),
-        }
-
-    def to_metrics(self, registry: Any) -> None:
-        """Mirror the counters into a metrics registry so the
-        Prometheus/JSON expositions carry them for free."""
-        for name, (calls, ns) in self.sites.items():
-            registry.counter(f"solver.site.{name}.calls").inc(calls)
-            registry.counter(f"solver.site.{name}.ns").inc(ns)
-        for name, n in self.counters.items():
-            registry.counter(f"solver.{name}").inc(n)
+_SITE = "solver.site."
 
 
-def hotspots(profile_summary: Optional[Dict[str, Any]]
-             ) -> List[Dict[str, Any]]:
-    """Rank a profile summary's sites by time share (descending ns,
-    then the canonical site order so zero-time runs stay stable)."""
-    if not profile_summary:
-        return []
-    sites = profile_summary.get("sites") or {}
-    total = max(1, profile_summary.get("total_ns")
-                or sum(v.get("ns", 0) for v in sites.values()) or 1)
+def solver_profile(metrics: Optional[Dict[str, Any]],
+                   levels: Sequence[Dict[str, int]] = ()
+                   ) -> Dict[str, Any]:
+    """The solver's cost attribution, read from a metrics summary:
+    ``sites`` (``{site: {"calls", "ns"}}``), ``levels``, the event
+    ``counters`` (named without their ``solver.`` prefix),
+    ``total_ns`` and the ``f``/``g`` evaluation totals."""
+    sites: Dict[str, Dict[str, int]] = {}
+    counters: Dict[str, int] = {}
+    for name, value in (metrics or {}).items():
+        if name.startswith(_SITE):
+            site, _, column = name[len(_SITE):].rpartition(".")
+            sites.setdefault(site, {"calls": 0, "ns": 0})[column] = value
+        elif name.startswith(_EVENT_COUNTERS):
+            counters[name[len("solver."):]] = value
+
+    def calls(*names: str) -> int:
+        return sum(sites[name]["calls"] for name in names if name in sites)
+
+    return {
+        "sites": sites,
+        "levels": list(levels),
+        "counters": counters,
+        "total_ns": sum(v["ns"] for v in sites.values()),
+        "f_evaluations": calls("lhs.apply.expand", "lhs.apply.probe",
+                               "lhs.apply.root"),
+        "g_evaluations": calls("rhs.apply"),
+    }
+
+
+def hotspots(metrics: Optional[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Rank a metrics summary's solver sites by time share
+    (descending ns, then the canonical site order so zero-time runs
+    stay stable)."""
+    view = solver_profile(metrics)
+    total = max(1, view["total_ns"])
     rank = {name: i for i, name in enumerate(SITE_ORDER)}
     rows = [{
         "site": name,
-        "calls": int(v.get("calls", 0)),
-        "ns": int(v.get("ns", 0)),
-        "share": v.get("ns", 0) / total,
-    } for name, v in sites.items()]
+        "calls": v["calls"],
+        "ns": v["ns"],
+        "share": v["ns"] / total,
+    } for name, v in view["sites"].items()]
     rows.sort(key=lambda r: (-r["ns"],
                              rank.get(r["site"], len(SITE_ORDER)),
                              r["site"]))
     return rows
-
-
-def hotspots_from_metrics(summary: Optional[Dict[str, Any]]
-                          ) -> List[Dict[str, Any]]:
-    """Recover the hotspot ranking from an exported metrics summary
-    (the ``solver.site.*`` counters), e.g. inside the HTML report."""
-    if not summary:
-        return []
-    sites: Dict[str, Dict[str, int]] = {}
-    prefix = "solver.site."
-    for name, value in summary.items():
-        if not name.startswith(prefix) or not isinstance(
-                value, (int, float)):
-            continue
-        stem, _, col = name[len(prefix):].rpartition(".")
-        if col not in ("calls", "ns") or not stem:
-            continue
-        sites.setdefault(stem, {})[col] = int(value)
-    if not sites:
-        return []
-    return hotspots({"sites": sites,
-                     "total_ns": sum(v.get("ns", 0)
-                                     for v in sites.values())})
 
 
 # -- collapsed stacks ---------------------------------------------------------

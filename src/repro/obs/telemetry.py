@@ -259,7 +259,7 @@ def grid_metrics_summary(report: Any) -> Dict[str, Any]:
     stats = getattr(report, "fleet_stats", None) or {}
     if stats.get("metrics"):
         registry.merge_summary(stats["metrics"])
-    for key in ("retries", "timeouts", "crashes", "respawns",
+    for key in ("retries", "timeouts", "crashes", "errors", "respawns",
                 "quarantined", "stream_batches", "stream_records"):
         if stats.get(key):
             registry.counter(f"fleet.stats.{key}").inc(

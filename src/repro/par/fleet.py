@@ -33,8 +33,9 @@ original run and in a bundle replay alike.
 Everything is instrumented through :mod:`repro.obs`: ``fleet.spawn`` /
 ``fleet.dispatch`` / ``fleet.retry`` / ``fleet.timeout`` /
 ``fleet.crash`` / ``fleet.quarantine`` events (per-worker Perfetto
-tracks ``fleet.w<N>``), and retry/backoff/attempt histograms folded
-into the report's ``fleet_stats``.
+tracks ``fleet.w<N>``).  The report's ``fleet_stats`` counts
+retries, timeouts, crashes, errors and quarantines, and carries the
+backoff/attempt histograms under ``"metrics"``.
 """
 
 from __future__ import annotations
@@ -446,7 +447,6 @@ def run_fleet(pending: List[Tuple[int, Any]],
         counter = {"timeout": "timeouts", "crashed": "crashes",
                    "error": "errors"}[kind]
         stats[counter] += 1
-        metrics.counter(f"fleet.{counter}").inc()
         if merger is not None:
             # retract the failed attempt's streamed telemetry: its
             # partial spans and metric deltas never reach the parent
@@ -466,7 +466,6 @@ def run_fleet(pending: List[Tuple[int, Any]],
         stats["retries"] += 1
         if status is not None:
             status.on_retry()
-        metrics.counter("fleet.retries").inc()
         metrics.histogram("fleet.backoff_ms").record(delay * 1000.0)
         fleet_event("fleet.retry", plan=task.plan, seed=task.seed,
                     attempt=attempt + 1, backoff_s=round(delay, 6))
@@ -496,7 +495,6 @@ def run_fleet(pending: List[Tuple[int, Any]],
         stats["quarantined"] += 1
         if status is not None:
             status.on_complete(outcome, case.elapsed_s)
-        metrics.counter("fleet.quarantined").inc()
         fleet_event("fleet.quarantine", plan=task.plan,
                     seed=task.seed, attempts=len(log), failure=kind,
                     bundle=str(bundle) if bundle else None)

@@ -405,3 +405,55 @@ class TestWorkerErrors:
                 cell["attempts"][0]["detail"]
         finally:
             par._SCENARIOS.pop(name, None)
+
+
+class TestFleetExposition:
+    """``fleet_stats`` is where the fleet's failure counts live; the
+    grid exposition exports each of them once, as ``fleet.stats.*``."""
+
+    @staticmethod
+    def assert_exported_once(summary):
+        prefix = "fleet.stats."
+        counted = {name[len(prefix):] for name in summary
+                   if name.startswith(prefix)}
+        assert not {f"fleet.{key}" for key in counted} & set(summary)
+
+    def test_chaos_grid_exports_each_count_once(self):
+        from repro.obs.telemetry import grid_metrics_summary
+
+        # the kill pattern is a pure function of the chaos seed and
+        # the grid: this one kills workers on the way
+        policy = FleetPolicy(
+            retries=2, chaos=ChaosSpec(kill_worker_p=0.3, seed=2),
+            **FAST)
+        report = par.run_conformance_parallel(
+            "dfm", seeds=range(2), workers=2, fleet=policy)
+        stats = report.fleet_stats
+        summary = grid_metrics_summary(report)
+        assert stats["crashes"] > 0
+        assert summary["fleet.stats.crashes"] == stats["crashes"]
+        assert summary["fleet.stats.retries"] == stats["retries"]
+        self.assert_exported_once(summary)
+
+    def test_raising_cell_exports_its_errors(self):
+        from types import SimpleNamespace
+
+        from repro.obs.telemetry import grid_metrics_summary
+
+        name = "fleet-raises-exposed"
+
+        def build():
+            raise RuntimeError("scenario exploded in the worker")
+
+        par.register_scenario(name, build)
+        try:
+            cases, stats = run_fleet(
+                [(0, CellTask(name, "none", 0, 100))], workers=1,
+                policy=FleetPolicy(retries=1, **FAST))
+        finally:
+            par._SCENARIOS.pop(name, None)
+        summary = grid_metrics_summary(SimpleNamespace(
+            cases=list(cases.values()), fleet_stats=stats))
+        assert stats["errors"] == 2
+        assert summary["fleet.stats.errors"] == stats["errors"]
+        self.assert_exported_once(summary)

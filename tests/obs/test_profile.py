@@ -1,15 +1,18 @@
 """Solver hot-path profiling and collapsed-stack export.
 
-The profile's *counters* are deterministic — they must agree with the
+The profile is a view of the traced solver's metrics summary.  Its
+*counters* are deterministic — they must agree with the
 evaluation-count discipline pinned by ``tests/core/test_solver_memo.py``
-(one ``g`` and one limit check per node, ``f`` once per candidate) —
-while the nanosecond columns are wall-clock and never compared.  The
-disabled path is the pre-existing hot path: an untraced ``explore``
-allocates no profile at all.
+(one limit check per node, ``f`` once per proposed candidate, one
+``g`` per node outside iterative deepening's rework) — while the
+nanosecond columns are wall-clock and never compared.  The disabled
+path is the pre-existing hot path: an untraced ``explore`` allocates
+no registry and no profile at all.
 """
 
 import pytest
 
+from repro.cache import CacheStore
 from repro.channels import Channel
 from repro.core import Description, SmoothSolutionSolver, combine
 from repro.functions import chan, even_of, odd_of
@@ -19,12 +22,12 @@ from repro.obs import (
     Tracer,
     collapsed_stacks,
     hotspots,
-    hotspots_from_metrics,
+    solver_profile,
     write_collapsed,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import SITE_ORDER, SolverProfile
+from repro.obs.profile import SITE_ORDER
 from repro.obs.tracer import SpanRecord
+from repro.processes import merge
 
 B = Channel("b", alphabet={0, 2})
 C = Channel("c", alphabet={1, 3})
@@ -114,13 +117,20 @@ class TestProfileCounters:
         assert result.profile == {}
 
 
+def site_metrics(*rows):
+    """A metrics summary holding ``(site, calls, ns)`` rows."""
+    out = {}
+    for site, calls, ns in rows:
+        out[f"solver.site.{site}.calls"] = calls
+        out[f"solver.site.{site}.ns"] = ns
+    return out
+
+
 class TestHotspots:
     def test_ranked_by_time_share(self):
-        prof = SolverProfile()
-        prof.add("rhs.apply", ns=100, calls=10)
-        prof.add("limit_report", ns=300, calls=10)
-        prof.add("cache.get", ns=100, calls=1)
-        rows = hotspots(prof.summary())
+        rows = hotspots(site_metrics(("rhs.apply", 10, 100),
+                                     ("limit_report", 10, 300),
+                                     ("cache.get", 1, 100)))
         assert rows[0]["site"] == "limit_report"
         assert rows[0]["share"] == 0.6
         # equal-time sites fall back to the canonical order
@@ -129,34 +139,191 @@ class TestHotspots:
         assert abs(sum(r["share"] for r in rows) - 1.0) < 1e-9
 
     def test_zero_time_runs_stay_stable(self):
-        prof = SolverProfile()
-        for site in reversed(SITE_ORDER):
-            prof.add(site, ns=0)
-        assert [r["site"] for r in hotspots(prof.summary())] == \
+        metrics = site_metrics(*((site, 1, 0)
+                                 for site in reversed(SITE_ORDER)))
+        assert [r["site"] for r in hotspots(metrics)] == \
             list(SITE_ORDER)
 
     def test_empty_and_none_summaries(self):
         assert hotspots(None) == []
         assert hotspots({}) == []
-        assert hotspots_from_metrics(None) == []
-        assert hotspots_from_metrics({"other.metric": 3}) == []
-
-    def test_metrics_round_trip(self):
-        """to_metrics → registry summary → hotspots_from_metrics
-        recovers exactly the rows hotspots() computes directly."""
-        prof = SolverProfile()
-        prof.add("rhs.apply", ns=500, calls=20)
-        prof.add("lhs.apply.expand", ns=1500, calls=45)
-        registry = MetricsRegistry()
-        prof.to_metrics(registry)
-        assert hotspots_from_metrics(registry.summary()) == \
-            hotspots(prof.summary())
+        assert hotspots({"other.metric": 3,
+                         "solver.nodes_expanded": 5}) == []
 
     def test_end_to_end_metrics_carry_the_sites(self):
         _, result, _ = traced_explore(3)
-        rows = hotspots_from_metrics(result.metrics)
+        rows = hotspots(result.metrics)
         by_site = {r["site"]: r for r in rows}
         assert by_site["rhs.apply"]["calls"] == result.nodes_explored
+
+
+def traced_solver(strategy="bfs", dedup=False, compiled=None,
+                  cache=None):
+    """The catalog dfm (§2.2, ``merge.make_dfm``), traced."""
+    base = merge.make_dfm().solver()
+    return SmoothSolutionSolver(
+        base.description, base.candidates, compiled=compiled,
+        strategy=strategy, dedup=dedup, cache=cache,
+        tracer=Tracer([RingBufferSink(capacity=100_000)]))
+
+
+class TestSolverProfileView:
+    """``result.profile`` is :func:`solver_profile` over
+    ``result.metrics``: every count it shows is a registry counter."""
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    @pytest.mark.parametrize(
+        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    def test_view_agrees_with_registry(self, strategy, dedup):
+        result = traced_solver(strategy, dedup).explore(4)
+        metrics, prof = result.metrics, result.profile
+        assert prof == solver_profile(metrics, prof["levels"])
+        for site, v in prof["sites"].items():
+            assert v["calls"] == metrics[f"solver.site.{site}.calls"]
+            assert v["ns"] == metrics[f"solver.site.{site}.ns"]
+        assert prof["counters"]
+        for name, n in prof["counters"].items():
+            assert n == metrics["solver." + name]
+        assert prof["sites"]["lhs.apply.expand"]["calls"] == \
+            metrics["solver.candidates_proposed"]
+        assert prof["total_ns"] == sum(
+            v["ns"] for v in prof["sites"].values())
+
+    def test_levels_partition_the_registry_counts(self):
+        result = traced_solver().explore(4)
+        metrics, levels = result.metrics, result.profile["levels"]
+
+        def total(key):
+            return sum(lv[key] for lv in levels)
+        assert total("proposed") == metrics["solver.candidates_proposed"]
+        assert total("pruned") == metrics["solver.candidates_pruned"]
+        assert total("expanded") == result.nodes_explored
+        assert total("accepted") == len(result.finite_solutions)
+        assert total("dead_ends") == len(result.dead_ends)
+        # the bound level expands nothing
+        assert levels[-1]["proposed"] == levels[-1]["pruned"] == 0
+
+    def test_traced_cache_hit_reports_its_lookup(self, tmp_path):
+        store = CacheStore(str(tmp_path))
+        cold = traced_solver(cache=store).explore(3)
+        warm = traced_solver(cache=store).explore(3)
+        assert warm.digest() == cold.digest()
+        assert warm.metrics["solver.site.cache.get.calls"] == 1
+        assert warm.profile == solver_profile(warm.metrics)
+        assert [r["site"] for r in hotspots(warm.metrics)] == \
+            ["cache.get"]
+
+
+#: The catalog dfm's profile at depth 4 on either engine: per
+#: (strategy, dedup, max_nodes), the calls at ``PINNED_SITES``, the
+#: event counters, the f/g totals and the BFS levels as rows of
+#: ``_LEVEL_KEYS``.
+PINNED_SITES = ("lhs.apply.root", "rhs.apply", "limit_report",
+                "lhs.apply.expand", "lhs.apply.probe")
+PINNED = {
+    ("bfs", False, None): (
+        (1, 2659, 2659, 4260, 2304),
+        {"strategy.bfs.popped": 2659, "strategy.bfs.pushed": 2659},
+        6565, 2659,
+        [(0, 1, 12, 6, 1, 1, 0), (1, 6, 72, 30, 6, 0, 0),
+         (2, 42, 504, 198, 42, 6, 0), (3, 306, 3672, 1368, 306, 0, 0),
+         (4, 2304, 0, 0, 2304, 90, 0)]),
+    ("bfs", False, 90): (
+        (1, 90, 90, 1080, 0),
+        {"strategy.bfs.popped": 90, "strategy.bfs.pushed": 667},
+        1081, 90,
+        [(0, 1, 12, 6, 1, 1, 0), (1, 6, 72, 30, 6, 0, 0),
+         (2, 42, 504, 198, 42, 6, 0), (3, 306, 492, 180, 41, 0, 0)]),
+    ("bfs", True, None): (
+        (1, 787, 787, 2208, 603),
+        {"dedup.hits": 5616, "dedup.states": 787,
+         "strategy.bfs.popped": 2659, "strategy.bfs.pushed": 2659},
+        2812, 787,
+        [(0, 1, 12, 6, 1, 1, 0), (1, 6, 72, 30, 6, 0, 0),
+         (2, 42, 396, 162, 42, 6, 0), (3, 306, 1728, 666, 306, 0, 0),
+         (4, 2304, 0, 0, 2304, 90, 0)]),
+    ("bfs", True, 90): (
+        (1, 72, 72, 864, 0),
+        {"dedup.hits": 54, "dedup.states": 72,
+         "strategy.bfs.popped": 90, "strategy.bfs.pushed": 667},
+        865, 72,
+        [(0, 1, 12, 6, 1, 1, 0), (1, 6, 72, 30, 6, 0, 0),
+         (2, 42, 396, 162, 42, 6, 0), (3, 306, 384, 144, 41, 0, 0)]),
+    ("best-first", False, None): (
+        (1, 2659, 2659, 4260, 2304),
+        {"strategy.best-first.popped": 2659,
+         "strategy.best-first.pushed": 2659},
+        6565, 2659, []),
+    ("best-first", False, 90): (
+        (1, 365, 90, 636, 37),
+        {"strategy.best-first.popped": 90,
+         "strategy.best-first.pushed": 365},
+        674, 365, []),
+    ("best-first", True, None): (
+        (1, 787, 787, 2208, 603),
+        {"dedup.hits": 5616, "dedup.states": 787,
+         "strategy.best-first.popped": 2659,
+         "strategy.best-first.pushed": 2659},
+        2812, 787, []),
+    ("best-first", True, 90): (
+        (1, 286, 87, 612, 36),
+        {"dedup.hits": 85, "dedup.states": 286,
+         "strategy.best-first.popped": 90,
+         "strategy.best-first.pushed": 365},
+        649, 286, []),
+    ("iterative-deepening", False, None): (
+        (1, 3071, 2659, 9204, 2304),
+        {"strategy.iterative-deepening.rework": 412},
+        11509, 3071, []),
+    ("iterative-deepening", False, 90): (
+        (1, 106, 90, 1272, 0),
+        {"strategy.iterative-deepening.rework": 16},
+        1273, 106, []),
+    ("iterative-deepening", True, None): (
+        (1, 787, 787, 2208, 603),
+        {"dedup.hits": 6440, "dedup.states": 787,
+         "strategy.iterative-deepening.rework": 412},
+        2812, 787, []),
+    ("iterative-deepening", True, 90): (
+        (1, 72, 72, 864, 0),
+        {"dedup.hits": 86, "dedup.states": 72,
+         "strategy.iterative-deepening.rework": 16},
+        865, 72, []),
+}
+_LEVEL_KEYS = ("depth", "width", "proposed", "pruned", "expanded",
+               "accepted", "dead_ends")
+
+
+class TestPinnedProfile:
+    """``TestProfileEngineParity`` compares the engines with each
+    other, so it misses a change that moves both alike; these are
+    the absolute counts."""
+
+    @pytest.mark.parametrize("compiled", [False, None])
+    @pytest.mark.parametrize("max_nodes", [None, 90])
+    @pytest.mark.parametrize("dedup", [False, True])
+    @pytest.mark.parametrize(
+        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    def test_counts_match_the_pins(self, strategy, dedup, max_nodes,
+                                   compiled):
+        solver = traced_solver(strategy, dedup, compiled)
+        result = (solver.explore(4) if max_nodes is None
+                  else solver.explore(4, max_nodes=max_nodes))
+        prof = result.profile
+        calls = {name: v["calls"] for name, v in prof["sites"].items()}
+        assert calls.pop("compile.build", 0) == (compiled is None)
+        sites, counters, f_evals, g_evals, levels = \
+            PINNED[strategy, dedup, max_nodes]
+        assert set(calls) <= set(PINNED_SITES)
+        assert tuple(calls.get(name, 0) for name in PINNED_SITES) == sites
+        assert prof["counters"] == counters
+        assert (prof["f_evaluations"], prof["g_evaluations"]) == \
+            (f_evals, g_evals)
+        assert [tuple(lv.get(k, 0) for k in _LEVEL_KEYS)
+                for lv in prof["levels"]] == levels
+        # every entry carries every count, the bound level's 0s too
+        assert all(set(lv) == {"ns", *_LEVEL_KEYS}
+                   for lv in prof["levels"])
 
 
 class TestCollapsedStacks:
