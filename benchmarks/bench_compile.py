@@ -2,7 +2,7 @@
 
 The ROADMAP's "compile the hot path" item, cashed in: interning
 channels/messages to small ints, running the §3.3 BFS over flat
-packed traces, deriving each node's ``g`` from its parent's, and
+tuples (per-channel environments and event tuples), deriving each node's ``g`` from its parent's, and
 collapsing the finite-fragment order tests to tuple prefix checks
 (see :mod:`repro.core.compiled`).  Timed cold — table build
 and closure compilation inside the measured region — against the

@@ -13,9 +13,11 @@ see :mod:`repro.traces.intern`):
 * ``ChannelFn b``          →  ``env[cid(b)]`` (a tuple lookup);
 * ``ConstFn`` (finite)     →  the constant's flat tuple;
 * ``OpFn``                 →  the operation's ``tuple_face`` when it
-  has one (:mod:`repro.functions.seq_fns` attaches faces to every
-  paper operation), else a generic box/unbox wrapper;
-* ``TupleFn``              →  a tuple of compiled components;
+  has one (every paper operation does: :mod:`repro.functions.seq_fns`
+  attaches the sequence operations' faces, :mod:`repro.functions.logic`
+  those of ``R`` and ``AND``), else a generic box/unbox wrapper;
+* ``TupleFn``              →  a tuple of compiled components, with one
+  generated tuple constructor per appended channel at any arity;
 * the prefix test          →  :func:`repro.seq.packed.packed_leq`
   (finite values make ``seq_leq`` a plain tuple-slice comparison);
 * the limit condition      →  ``fu == gu`` (finite values make
@@ -40,6 +42,7 @@ equivalence beyond the probe.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.channels.channel import Channel
@@ -111,64 +114,64 @@ class CompiledSide:
             return tuple(e(env) for e in self.evals)
         return self.evals[0](env)
 
-    def eval_after(self, env: PackedEnv, parent_value: Any,
-                   cid: int) -> Any:
-        """Evaluation after appending one event on channel ``cid``.
-
-        Components that do not read ``cid`` cannot have changed —
-        each closure is a pure function of the environment slots in
-        its read set — so the parent's component value is reused.
-        On the dfm network this skips both ``f`` components for every
-        extension on an output channel.
-        """
-        if not self.is_product:
-            if cid in self.reads[0]:
-                return self.evals[0](env)
-            return parent_value
-        return tuple(
-            e(env) if cid in r else parent_value[i]
-            for i, (e, r) in enumerate(zip(self.evals, self.reads))
-        )
-
     def bind(self, n_channels: int) -> None:
-        """Precompute one specialized ``after`` closure per channel.
+        """Precompute one ``after`` closure per channel: the side's
+        value after appending one event on that channel, given the
+        parent's value.
 
-        The read-set dispatch of :meth:`eval_after` is loop-invariant
-        — which components a channel touches is fixed at compile time
-        — so the per-call membership tests and the genexpr are folded
-        away here: appending on an unread channel becomes an identity,
-        and small products get direct tuple constructors.
+        Components that do not read the channel cannot have changed —
+        each closure is a pure function of the environment slots in
+        its read set — so they keep the parent's value.  Which
+        components a channel touches is fixed at compile time, so the
+        dispatch is folded away here: appending on an unread channel
+        becomes an identity, and a product gets a direct tuple
+        constructor (see :func:`_after_maker`).  On the dfm network
+        this skips both ``f`` components for every extension on an
+        output channel.
         """
         self.after = tuple(self._after_for(cid)
                            for cid in range(n_channels))
 
     def _after_for(self, cid: int) -> Callable[[PackedEnv, Any], Any]:
-        if not self.is_product:
-            if cid in self.reads[0]:
-                return lambda env, parent, _e=self.evals[0]: _e(env)
-            return lambda env, parent: parent
         hot = tuple(cid in r for r in self.reads)
         if not any(hot):
             return lambda env, parent: parent
-        if len(self.evals) == 2:
-            e0, e1 = self.evals
-            if hot == (True, True):
-                return lambda env, parent: (e0(env), e1(env))
-            if hot == (True, False):
-                return lambda env, parent: (e0(env), parent[1])
-            return lambda env, parent: (parent[0], e1(env))
-        if all(hot):
-            return (lambda env, parent, _ev=self.evals:
-                    tuple(e(env) for e in _ev))
-        parts = tuple(e if h else None
-                      for e, h in zip(self.evals, hot))
+        if not self.is_product:
+            return lambda env, parent, _e=self.evals[0]: _e(env)
+        return _after_maker(hot)(*self.evals)
 
-        def after(env: PackedEnv, parent: Any,
-                  _parts=parts) -> tuple:
-            return tuple(p(env) if p is not None else parent[i]
-                         for i, p in enumerate(_parts))
 
-        return after
+@functools.lru_cache(maxsize=256)
+def _after_maker(hot: Tuple[bool, ...]) -> Callable[..., Callable]:
+    """A factory of product ``after`` closures for one ``hot``
+    pattern: given the component closures ``e0, e1, …`` it returns
+    ``lambda env, parent: (e0(env), parent[1], …)``, re-evaluating
+    component ``i`` where ``hot[i]`` and keeping the parent's value
+    elsewhere.
+
+    Generated source gives every arity the direct tuple constructor,
+    with no per-call generator or index loop; the cache makes a
+    compile pay for code generation only the first time a pattern
+    occurs."""
+    args = "".join(f"_e{i}, " for i in range(len(hot)))
+    parts = "".join(f"_e{i}(env), " if h else f"parent[{i}], "
+                    for i, h in enumerate(hot))
+    return eval(f"lambda {args}: lambda env, parent: ({parts})", {})
+
+
+@functools.lru_cache(maxsize=64)
+def _product_leq(arity: int) -> Callable[[tuple, tuple], bool]:
+    """The componentwise prefix test on ``arity``-tuples of flat
+    tuples, generated like :func:`_after_maker`: unpack both values,
+    then one slice comparison per component."""
+    a = "".join(f"a{i}, " for i in range(arity))
+    b = "".join(f"b{i}, " for i in range(arity))
+    test = " and ".join(f"b{i}[:len(a{i})] == a{i}"
+                        for i in range(arity))
+    namespace: dict = {}
+    exec(f"def leq(a, b):\n    {a}= a\n    {b}= b\n"
+         f"    return {test}\n", namespace)
+    return namespace["leq"]
 
 
 class CompiledDescription:
@@ -177,8 +180,8 @@ class CompiledDescription:
     ``actions`` is the precompiled per-candidate table the solver's
     inner loop iterates: one ``(pair, cid, event)`` entry per
     candidate event, in candidate order — the packed event, its
-    channel id, and the original :class:`Event` (used only when
-    tracing or unpacking).
+    channel id, and the original :class:`Event`, which the solver
+    appends to a child's event tuple.
     """
 
     __slots__ = ("description", "table", "lhs", "rhs", "actions",
@@ -396,18 +399,7 @@ def _compile(description: Description,
             return None
         if not (len(lhs.evals) == len(rhs.evals) == arity):
             return None
-        if arity == 2:
-            def leq(a: tuple, b: tuple) -> bool:
-                a0, a1 = a
-                b0, b1 = b
-                return (b0[: len(a0)] == a0
-                        and b1[: len(a1)] == a1)
-        else:
-            def leq(a: tuple, b: tuple) -> bool:
-                for x, y in zip(a, b):
-                    if y[: len(x)] != x:
-                        return False
-                return True
+        leq = _product_leq(arity)
 
     compiled = CompiledDescription(description, table, lhs, rhs, leq)
     if not _probe_agrees(compiled):

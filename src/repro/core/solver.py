@@ -22,9 +22,11 @@ it, so the elements of ``g(u)`` bound the useful candidates).
 from __future__ import annotations
 
 import heapq
+import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from repro.channels.channel import Channel
@@ -39,9 +41,10 @@ from repro.core.search import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import solver_profile
-from repro.obs.recorder import Schedule, stable_digest
+from repro.obs.recorder import Schedule, canonical_digest
 from repro.obs.replay import ReplayDivergence
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.seq.finite import FiniteSeq
 from repro.traces.trace import Trace
 
 #: A candidate generator: finite trace ``u`` ↦ events that may extend it.
@@ -193,17 +196,48 @@ class SolverResult:
         ``unvisited`` key, *not* under ``frontier``: the frontier
         invariant (admissible extensions exist) was never established
         for them, and resume correctness depends on the distinction.
+
+        The hash is :func:`~repro.obs.recorder.stable_digest` of
+        ``{bucket: sorted trace keys, nodes_explored, depth,
+        truncated}`` with :func:`_trace_key`'s keys, but the key lists
+        are never built: each distinct event's ``(channel name,
+        repr(message))`` pair is taken once, a trace becomes the tuple
+        of its events' *ranks* among the sorted distinct pairs (equal
+        pairs share a rank, so rank tuples sort exactly as the key
+        lists do, pair by pair and a prefix first), and the canonical
+        JSON is joined from one fragment per pair.  Events are told
+        apart by identity, not equality: equal events may still
+        ``repr`` differently (``1`` and ``True``).
         """
-        return stable_digest({
-            "finite_solutions": sorted(
-                _trace_key(t) for t in self.finite_solutions),
-            "frontier": sorted(_trace_key(t) for t in self.frontier),
-            "dead_ends": sorted(_trace_key(t) for t in self.dead_ends),
-            "unvisited": sorted(_trace_key(t) for t in self.unvisited),
-            "nodes_explored": self.nodes_explored,
-            "depth": self.depth,
-            "truncated": self.truncated,
-        })
+        traces = {bucket: [_events_of(t) for t in getattr(self, bucket)]
+                  for bucket in _BUCKETS}
+        events = list(chain.from_iterable(
+            chain.from_iterable(traces.values())))
+        distinct = dict(zip(map(id, events), events))
+        pair_of = {i: (e.channel.name, repr(e.message))
+                   for i, e in distinct.items()}
+        pairs = sorted(set(pair_of.values()))
+        rank = {pair: r for r, pair in enumerate(pairs)}
+        # rank every event in one pass, then cut the ranks per trace
+        ranks = list(map({i: rank[pair] for i, pair in pair_of.items()}
+                         .__getitem__, map(id, events)))
+        fragment = [json.dumps(pair, separators=(",", ":"))
+                    for pair in pairs].__getitem__
+        fields = {"nodes_explored": json.dumps(self.nodes_explored),
+                  "depth": json.dumps(self.depth),
+                  "truncated": json.dumps(self.truncated)}
+        at = 0
+        for bucket, items in traces.items():
+            cuts = list(accumulate(map(len, items), initial=at))
+            keys = sorted(tuple(ranks[a:b])
+                          for a, b in zip(cuts, cuts[1:]))
+            fields[bucket] = "[" + ",".join([
+                "[" + ",".join(map(fragment, key)) + "]"
+                for key in keys]) + "]"
+            at = cuts[-1]
+        return canonical_digest("{" + ",".join(
+            f"{json.dumps(name)}:{text}"
+            for name, text in sorted(fields.items())) + "}")
 
     def checkpoint(self) -> "SolverCheckpoint":
         """Serialize this (typically truncated) result as a resumable
@@ -253,6 +287,16 @@ class SolverResult:
 def _trace_key(t: Trace) -> list:
     """JSON-ready canonical form of a finite trace."""
     return [[e.channel.name, repr(e.message)] for e in t]
+
+
+#: The result's trace buckets, as its digest names them.
+_BUCKETS = ("finite_solutions", "frontier", "dead_ends", "unvisited")
+
+
+def _events_of(t: Trace) -> tuple:
+    """A known-finite trace's events as a tuple."""
+    events = t.events
+    return events.items if isinstance(events, FiniteSeq) else tuple(t)
 
 
 class SmoothSolutionSolver:
@@ -429,10 +473,10 @@ class SmoothSolutionSolver:
 
         When the description and candidate generator lie in the
         compilable finite fragment (see :mod:`repro.core.compiled`),
-        the same walk runs over interned channels/messages and flat
-        packed traces, with ``g`` re-evaluated incrementally from the
-        parent's value — an order of magnitude faster, and
-        bit-identical at this API boundary: results, digests,
+        the same walk runs over interned channels/messages, per-channel
+        message tuples and event tuples, with ``g`` re-evaluated
+        incrementally from the parent's value — an order of magnitude
+        faster, and bit-identical at this API boundary: results, digests,
         checkpoints and cache payloads match the reference path
         exactly (pinned by ``tests/core/test_compiled_solver.py``).
         The ``compiled`` constructor flag selects the engine
@@ -504,7 +548,7 @@ class SmoothSolutionSolver:
 
     def _explore_compiled(self, compiled, result: SolverResult,
                           run: "_Run") -> SolverResult:
-        """The compiled-engine entry: the walk over packed traces (see
+        """The compiled-engine entry: the walk over flat-tuple nodes (see
         :class:`_CompiledEngine`), restarted on the reference engine
         if a compiled closure leaves the finite fragment mid-run."""
         from repro.core.compiled import CompiledEvalError
@@ -1409,20 +1453,26 @@ class _CompiledEngine:
     """The walks' view of the packed representation (same calls as
     :class:`_ReferenceEngine`).
 
-    A node is ``(packed, env, parent g, cid)``: the interned trace,
-    its per-channel message environment — which *is* the per-channel
-    projection, so it doubles as the dedup key — and what ``g`` needs
-    to be re-evaluated incrementally: the parent's value and the
-    channel the node appended, whose ``rhs.after`` closure reuses
-    every component that does not read it.  Seeds have no parent and
-    take the full evaluation.  Values are the compiled sides' flat
-    tuples, ``f(v) ⊑ g(u)`` is a compiled prefix test, and the limit
-    condition is plain equality (both values are finite).  Packed
-    traces are unpacked only when a node is classified, into the same
-    Event objects the reference engine appends, so results, digests,
-    checkpoints and cache payloads are bit-identical; feature values
-    land on the reference engine's integers, which keeps even
-    truncated best-first runs identical across engines.
+    A node is ``(events, env, parent g, cid)``:
+
+    * ``events`` — the node's trace as a flat tuple of the candidate
+      alphabet's own :class:`Event` objects (each child appends its
+      candidate's), so :meth:`trace` wraps it as it stands;
+    * ``env`` — the per-channel message environment, which *is* the
+      per-channel projection, so it doubles as the dedup key;
+    * ``parent g`` and ``cid`` — what ``g`` needs to be re-evaluated
+      incrementally: the parent's value and the channel the node
+      appended, whose ``rhs.after`` closure reuses every component
+      that does not read it.  Seeds have no parent and take the full
+      evaluation.
+
+    Values are the compiled sides' flat tuples, ``f(v) ⊑ g(u)`` is a
+    compiled prefix test, and the limit condition is plain equality
+    (both values are finite).  A classified node's trace holds the
+    same Event objects the reference engine appends, so results,
+    digests, checkpoints and cache payloads are bit-identical;
+    feature values land on the reference engine's integers, which
+    keeps even truncated best-first runs identical across engines.
     """
 
     __slots__ = ("table", "lhs", "leq", "lhs_after", "g_after",
@@ -1440,15 +1490,15 @@ class _CompiledEngine:
         self.seed_cid = len(rhs.after)
         # acts carries the raw message so the one-slot environment
         # surgery needs no table call per candidate
-        self.acts = tuple((pair, cid, table.messages[pair[1]], event)
+        self.acts = tuple((cid, table.messages[pair[1]], event)
                           for pair, cid, event in compiled.actions)
         # both sides are products or neither (compile_description)
         self.product = rhs.is_product
 
     def seed(self, trace: Trace) -> tuple:
-        packed = self.table.pack(trace)
-        env = self.table.env_of(packed)
-        return (packed, env, None, self.seed_cid), self.lhs.eval(env)
+        events = tuple(trace)
+        env = self.table.env_of(self.table.pack(trace))
+        return (events, env, None, self.seed_cid), self.lhs.eval(env)
 
     def g(self, node):
         return self.g_after[node[3]](node[1], node[2])
@@ -1459,29 +1509,29 @@ class _CompiledEngine:
 
     def edges(self, node, fu, gu,
               pruned: Optional[list] = None) -> list:
-        packed, env = node[0], node[1]
+        events, env = node[0], node[1]
         leq, lhs_after = self.leq, self.lhs_after
         kids = []
-        for pair, cid, msg, event in self.acts:
+        for cid, msg, event in self.acts:
             env_v = env[:cid] + (env[cid] + (msg,),) + env[cid + 1:]
             fv = lhs_after[cid](env_v, fu)
             if leq(fv, gu):
-                kids.append(((packed + (pair,), env_v, gu, cid), fv))
+                kids.append(((events + (event,), env_v, gu, cid), fv))
             elif pruned is not None:
                 pruned.append(event)
         return kids
 
     @staticmethod
     def rebase(node, kids: list) -> list:
-        packed = node[0]
-        return [((packed + (child[0][-1],),) + child[1:], fv)
+        events = node[0]
+        return [((events + (child[0][-1],),) + child[1:], fv)
                 for child, fv in kids]
 
     def probe(self, node, fu, gu) -> tuple:
         env = node[1]
         leq, lhs_after = self.leq, self.lhs_after
         tried = 0
-        for _pair, cid, msg, _event in self.acts:
+        for cid, msg, _event in self.acts:
             tried += 1
             if leq(lhs_after[cid](
                     env[:cid] + (env[cid] + (msg,),) + env[cid + 1:],
@@ -1489,8 +1539,12 @@ class _CompiledEngine:
                 return True, tried
         return False, tried
 
-    def trace(self, node) -> Trace:
-        return self.table.unpack(node[0])
+    @staticmethod
+    def trace(node) -> Trace:
+        events = node[0]
+        if not events:
+            return Trace.empty()
+        return Trace(FiniteSeq.from_tuple(events))
 
     @staticmethod
     def env_key(node):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.functions.base import ContinuousFn, OpFn
+from repro.functions.seq_fns import _with_face
 from repro.order.flat import BOTTOM
 from repro.seq.combinators import pointwise, seq_map
 from repro.seq.finite import Seq
@@ -69,6 +70,13 @@ def and_map(a: Seq, b: Seq) -> Seq:
     function monotone in both arguments.
     """
     return pointwise(and_bit, a, b, name="AND")
+
+
+# Tuple faces: the same pointwise maps on plain message tuples, for
+# the compiled solver path (``map`` stops at the shorter argument —
+# the min-length rule).
+_with_face(r_map, lambda t: tuple(map(r_bit, t)))
+_with_face(and_map, lambda a, b: tuple(map(and_bit, a, b)))
 
 
 def r_of(fn: ContinuousFn) -> OpFn:

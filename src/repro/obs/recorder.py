@@ -40,8 +40,14 @@ def stable_digest(payload: Any) -> str:
     runs with equal digests made the same externally visible
     computation.
     """
-    canonical = json.dumps(payload, sort_keys=True,
-                           separators=(",", ":"))
+    return canonical_digest(json.dumps(payload, sort_keys=True,
+                                       separators=(",", ":")))
+
+
+def canonical_digest(canonical: str) -> str:
+    """:func:`stable_digest` of a payload already written as canonical
+    JSON (sorted keys, ``(",", ":")`` separators, ASCII escapes) — for
+    callers that assemble that text from fragments."""
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -1,14 +1,21 @@
 """Interning: channels, messages and events as small integers.
 
-The compiled solver path replaces linked :class:`Trace` values with a
-*packed* representation — a tuple of ``(channel_id, message_id)`` int
-pairs — plus an *environment*: one flat message tuple per channel,
-which is exactly the per-channel subsequence the paper writes as
-``b(t)``.  The :class:`InternTable` owns both directions of the
-mapping, and the conversion is lossless by construction: unpacking
-reuses the very same :class:`~repro.channels.event.Event` objects the
-reference path appends, so digests, cache keys and checkpoints come
-out bit-identical.
+The compiled solver path evaluates descriptions on a packed
+*environment*: one flat message tuple per channel, indexed by a small
+channel id — exactly the per-channel subsequence the paper writes as
+``b(t)``.  The :class:`InternTable` owns the ids in both directions
+(channels, messages, and each candidate event's ``(channel_id,
+message_id)`` pair) and builds, extends and projects environments.
+
+A *packed trace* is a tuple of those pairs; :meth:`InternTable.pack`
+and :meth:`InternTable.unpack` convert losslessly, unpacking each pair
+to the candidate alphabet's own :class:`~repro.channels.event.Event`
+object.  The solver itself never unpacks: a compiled search node
+carries its trace as a tuple of those same Event objects beside its
+environment (see ``repro.core.solver._CompiledEngine``), so a
+classified node is its event tuple wrapped in a :class:`Trace` — the
+trace the reference path builds by repeated ``append``, and digests,
+cache keys and checkpoints come out bit-identical.
 
 The table is built from a solver's *constant* candidate alphabet (the
 ``alphabet_candidates`` generator publishes it as
@@ -41,7 +48,6 @@ class InternTable:
     __slots__ = (
         "channels", "channel_ids", "messages", "message_ids",
         "events", "_event_pairs", "_pair_events", "empty_env",
-        "_events_memo",
     )
 
     def __init__(self, events: Iterable[Event],
@@ -88,10 +94,6 @@ class InternTable:
         self._event_pairs = tuple(pairs)
         self._pair_events = pair_events
         self.empty_env: PackedEnv = ((),) * len(self.channels)
-        #: packed trace -> its Event tuple; BFS levels share prefixes,
-        #: so each unpack is one concat off its parent's entry
-        self._events_memo: Dict[PackedTrace, Tuple[Event, ...]] = \
-            {(): ()}
 
     # -- events ---------------------------------------------------------
 
@@ -123,31 +125,17 @@ class InternTable:
     def unpack(self, packed: PackedTrace, name: str = "") -> Trace:
         """Rebuild the :class:`Trace` for a packed trace.
 
-        Event objects come from the candidate alphabet, so the result
-        is indistinguishable from the trace the reference path builds
-        by repeated ``append`` — same events, same equality, same
-        hash, same ``repr``.
+        One :meth:`event_for` per pair: the Event objects come from
+        the candidate alphabet, so the result is indistinguishable
+        from the trace the reference path builds by repeated
+        ``append`` — same events, same equality, same hash, same
+        ``repr``.
         """
         if not packed and not name:
             return Trace.empty()
-        return Trace(FiniteSeq.from_tuple(self._events_of(packed)),
+        return Trace(FiniteSeq.from_tuple(tuple(map(self.event_for,
+                                                    packed))),
                      name=name)
-
-    def _events_of(self, packed: PackedTrace) -> Tuple[Event, ...]:
-        memo = self._events_memo
-        events = memo.get(packed)
-        if events is not None:
-            return events
-        # walk back to the longest memoized prefix (usually the
-        # direct parent — BFS siblings share it), then fill forward
-        i = len(packed) - 1
-        while i > 0 and packed[:i] not in memo:
-            i -= 1
-        events = memo[packed[:i]]
-        for j in range(i, len(packed)):
-            events = events + (self.event_for(packed[j]),)
-            memo[packed[:j + 1]] = events
-        return events
 
     def env_of(self, packed: PackedTrace) -> PackedEnv:
         """The per-channel message environment of a packed trace.

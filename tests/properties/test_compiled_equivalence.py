@@ -1,6 +1,6 @@
 """Property tests pinning the compiled hot path to the reference.
 
-Two layers of randomized evidence back the engine swap in
+Randomized and exhaustive evidence backs the engine swap in
 :mod:`repro.core.compiled`:
 
 * the *representation* is lossless — random finite traces survive a
@@ -9,26 +9,41 @@ Two layers of randomized evidence back the engine swap in
 * the *order theory* collapses correctly — on finite sequences the
   packed prefix tests agree bit-for-bit with ``seq_leq`` /
   ``seq_leq_upto`` / ``seq_eq_upto`` at every depth ≤ 8;
+* the compiled closures are the definitions they replace — every
+  tuple face equals its operation, and the generated product
+  closures (``after`` per channel, the componentwise prefix test)
+  equal the per-component rules at arities 3 and 4;
 * the one-pass run-trace check gives the reference verdict —
   ``is_smooth_solution`` equals ``check(...).is_smooth`` on random
   finite traces of every compilable spec the grid and the §4 catalog
-  use, and inputs the walk declines are answered by ``check``.
+  use, and inputs the walk declines are answered by ``check``;
+* the two engines are one walk — on the catalog's implication,
+  random-bit sequence and fair merge, every strategy, with and
+  without dedup, complete and node-budget-truncated, they give equal
+  digests, checkpoints, cache payloads and per-site call counts.
 """
 
 import functools
 import itertools
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.channels.channel import Channel
 from repro.channels.event import Event
-from repro.core.compiled import decide_smooth_solution
-from repro.core.description import Description
-from repro.core.solver import SmoothSolutionSolver
+from repro.core.compiled import (
+    CompiledSide,
+    _product_leq,
+    compile_description,
+    decide_smooth_solution,
+)
+from repro.core.description import Description, combine
+from repro.core.solver import SmoothSolutionSolver, alphabet_candidates
 from repro.functions.base import LambdaFn, OpFn, chan, const_seq
-from repro.functions.seq_fns import even_of, odd_of
+from repro.functions.seq_fns import even_of, odd_of, prepend_of, scale_of
+from repro.obs import RingBufferSink, Tracer
 from repro.seq.finite import FiniteSeq
 from repro.seq.lazy import LazySeq
 from repro.seq.ordering import (
@@ -57,6 +72,7 @@ traces = st.lists(st.sampled_from(EVENTS), max_size=7).map(Trace.finite)
 
 messages = st.one_of(st.integers(-3, 3), st.sampled_from(["T", "F"]))
 seqs = st.lists(messages, max_size=8).map(tuple)
+bits = st.lists(st.sampled_from(["T", "F"]), max_size=8).map(tuple)
 
 
 def table() -> InternTable:
@@ -176,6 +192,98 @@ class TestCompiledFaceAgreement:
         for fn in fns:
             face = fn.op.tuple_face
             assert face(t) == pack_seq(fn.op(FiniteSeq(t)))
+
+    @given(bits, bits)
+    @example((), ())
+    @example((), ("T", "F"))
+    @example(("F", "T", "T"), ("T",))
+    def test_logic_faces(self, a, b):
+        from repro.functions.logic import and_map, r_map
+
+        assert r_map.tuple_face(a) == pack_seq(r_map(FiniteSeq(a)))
+        # AND's output stops at the shorter argument, on either side
+        for x, y in ((a, b), (b, a)):
+            assert and_map.tuple_face(x, y) == \
+                pack_seq(and_map(FiniteSeq(x), FiniteSeq(y)))
+
+
+# ---------------------------------------------------------------------------
+# Product closures at arities 3 and 4
+# ---------------------------------------------------------------------------
+
+#: channel count of the synthetic environments below
+N_CHANNELS = 3
+flat = st.lists(messages, max_size=4).map(tuple)
+envs = st.lists(flat, min_size=N_CHANNELS,
+                max_size=N_CHANNELS).map(tuple)
+
+
+def component(i: int):
+    """A component closure reading environment slot ``i``."""
+    return lambda env: (i,) + env[i]
+
+
+class TestProductClosures:
+    """The generated per-channel ``after`` closures and prefix test
+    against their per-component definitions."""
+
+    @given(st.sampled_from([3, 4]), st.data())
+    def test_after_agrees_with_per_component_rule(self, arity, data):
+        slots = [data.draw(st.integers(0, N_CHANNELS - 1))
+                 for _ in range(arity)]
+        reads = tuple(
+            frozenset(data.draw(st.sets(
+                st.integers(0, N_CHANNELS - 1), max_size=2))) | {slot}
+            for slot in slots)
+        evals = tuple(component(slot) for slot in slots)
+        side = CompiledSide(evals, reads, True)
+        side.bind(N_CHANNELS)
+        env = data.draw(envs)
+        parent = tuple(data.draw(flat) for _ in range(arity))
+        for cid in range(N_CHANNELS):
+            want = tuple(e(env) if cid in r else p
+                         for e, r, p in zip(evals, reads, parent))
+            assert side.after[cid](env, parent) == want
+        assert side.eval(env) == tuple(e(env) for e in evals)
+
+    @given(st.sampled_from([3, 4]), st.data())
+    def test_leq_agrees_with_componentwise_seq_leq(self, arity, data):
+        a = tuple(data.draw(seqs) for _ in range(arity))
+        # each component of b extends a's, or is drawn afresh
+        b = tuple(data.draw(st.one_of(
+            seqs, seqs.map(lambda tail, x=x: x + tail))) for x in a)
+        want = all(seq_leq(FiniteSeq(x), FiniteSeq(y))
+                   for x, y in zip(a, b))
+        assert _product_leq(arity)(a, b) is want
+
+    @pytest.mark.parametrize("arity", [3, 4])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_compiled_after_agrees_with_full_evaluation(self, arity,
+                                                        data):
+        # a real system of `arity` descriptions: walking random
+        # traces, each side's after closure on the parent's value
+        # equals the side evaluated afresh
+        specs = [Description(even_of(chan(D)), chan(B)),
+                 Description(odd_of(chan(D)), chan(C)),
+                 Description(scale_of(2, chan(C)), chan(D)),
+                 Description(chan(B), prepend_of(0, chan(D)))]
+        description = combine(specs[:arity], name=f"arity-{arity}")
+        compiled = compile_description(
+            description, alphabet_candidates([B, C, D]))
+        assert compiled is not None
+        for side in (compiled.lhs, compiled.rhs):
+            assert len(side.evals) == arity
+        table = compiled.table
+        env = compiled.root_env
+        values = [compiled.lhs.eval(env), compiled.rhs.eval(env)]
+        for event in data.draw(st.lists(st.sampled_from(EVENTS),
+                                        max_size=6)):
+            pair = table.intern_event(event)
+            env = table.extend_env(env, pair)
+            for k, side in enumerate((compiled.lhs, compiled.rhs)):
+                values[k] = side.after[pair[0]](env, values[k])
+                assert values[k] == side.eval(env)
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +468,54 @@ class TestSmoothCheckFallback:
                            const_seq(FiniteSeq((0, 1))), name="late")
         t = Trace.from_pairs([(D, 0), (D, 1)])
         self.answered_by_check(monkeypatch, spec, t)
+
+
+# ---------------------------------------------------------------------------
+# Engine parity over the catalog
+# ---------------------------------------------------------------------------
+
+#: catalog process -> (factory module, factory name, depth)
+CATALOG = {
+    "implication": ("implication", "make", 5),
+    "random_bit_sequence": ("random_bit", "make_sequence", 7),
+    "fair_merge": ("merge", "make_fair_merge", 3),
+}
+
+
+def catalog_run(name, compiled, strategy, dedup, max_nodes):
+    """One traced exploration of a catalog process: the result's
+    digest, checkpoint and payload JSON, and its per-site calls."""
+    from repro import processes
+
+    module, factory, depth = CATALOG[name]
+    proto = getattr(getattr(processes, module), factory)().solver()
+    solver = SmoothSolutionSolver(
+        proto.description, proto.candidates,
+        limit_depth=proto.limit_depth, compiled=compiled,
+        strategy=strategy, dedup=dedup,
+        tracer=Tracer([RingBufferSink(capacity=100_000)]))
+    result = solver.explore(depth, max_nodes=max_nodes)
+    calls = {key: value for key, value in result.metrics.items()
+             if key.startswith("solver.site.") and key.endswith(".calls")
+             and not key.startswith("solver.site.compile.")}
+    return (result.digest(), result.checkpoint().to_json(),
+            json.dumps(result.to_payload()), calls)
+
+
+class TestEngineParityMatrix:
+    @pytest.mark.parametrize("max_nodes", [200_000, 37])
+    @pytest.mark.parametrize("dedup", [False, True])
+    @pytest.mark.parametrize(
+        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_engines_agree(self, name, strategy, dedup, max_nodes):
+        from repro import processes
+
+        module, factory, _depth = CATALOG[name]
+        proto = getattr(getattr(processes, module), factory)().solver()
+        assert compile_description(proto.description,
+                                   proto.candidates) is not None
+        reference = catalog_run(name, False, strategy, dedup, max_nodes)
+        compiled = catalog_run(name, True, strategy, dedup, max_nodes)
+        assert reference[3]["solver.site.limit_report.calls"] > 0
+        assert compiled == reference
