@@ -8,9 +8,11 @@ costs (tree search growth, elimination overhead, etc.).
 
 Besides printing, every ``row(...)`` is collected, and at session end
 the rows plus the pytest-benchmark timing stats are written as
-machine-readable JSON (default ``BENCH_core.json`` at the repo root;
-override with ``BENCH_JSON``) — the perf trajectory the human-readable
-rows could never seed.
+machine-readable JSON — the perf trajectory the human-readable rows
+could never seed.  The default target is the git-ignored
+``BENCH_local.json`` at the repo root, so a local run of a few benches
+never replaces the tracked trajectory seed; set
+``BENCH_JSON=BENCH_core.json`` (as CI does) to refresh that seed.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def pytest_sessionfinish(session, exitstatus):
     if not _ROWS and not benchmarks:
         return  # nothing benchmark-shaped ran; don't touch the file
     default = pathlib.Path(__file__).resolve().parent.parent \
-        / "BENCH_core.json"
+        / "BENCH_local.json"
     path = pathlib.Path(os.environ.get("BENCH_JSON", default))
     payload = {
         "generated_at": datetime.datetime.now(

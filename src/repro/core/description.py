@@ -201,21 +201,6 @@ class Description:
             )
         return self.limit_holds(t, depth) and self.lemma2_holds(t, depth)
 
-    # -- compiled hot path ---------------------------------------------------
-
-    def compiled_against(self, candidates) -> Optional[Any]:
-        """This description compiled against a constant alphabet.
-
-        Returns a :class:`~repro.core.compiled.CompiledDescription`
-        when both sides lie in the compilable expression fragment and
-        ``candidates`` publishes a constant event alphabet, else
-        ``None`` (callers then use the reference path).  See
-        :mod:`repro.core.compiled` for the exact preconditions.
-        """
-        from repro.core.compiled import compile_description
-
-        return compile_description(self, candidates)
-
     # -- structure -----------------------------------------------------------
 
     def substitute(self, channel: Channel,

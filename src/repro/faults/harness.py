@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.channels.channel import Channel
 from repro.core.description import DEFAULT_DEPTH
@@ -278,8 +278,6 @@ def run_conformance(network: str,
                     depth: int = DEFAULT_DEPTH,
                     tracer=None,
                     record: bool = True,
-                    workers: int = 1,
-                    scenario: Optional[str] = None,
                     cache=None
                     ) -> ConformanceReport:
     """Run ``agents`` under every ``plan × seed`` cell and check every
@@ -298,15 +296,13 @@ def run_conformance(network: str,
     ships its own repro, re-executable bit-for-bit with
     :func:`replay_conformance_case`.
 
-    ``workers > 1`` farms the independent cells out over processes —
-    but only when ``scenario`` names a registered
-    :mod:`repro.par` scenario whose plan names cover ``plans`` (agent
-    factories are closures and never cross the process boundary; the
-    workers rebuild everything from the registry).  When those
-    conditions do not hold, or ``workers == 1``, the grid runs on the
-    serial path below; per-cell outcomes and schedule digests are
-    identical either way (each cell is a fresh plan instance plus a
-    fresh ``RandomOracle(seed)`` in both executors).
+    This is the serial executor and the semantic reference: cells run
+    one after another in this process.  To farm the independent cells
+    out over processes, name a registered scenario and call
+    :func:`repro.par.run_conformance_parallel`; per-cell outcomes and
+    schedule digests are identical either way (each cell is a fresh
+    plan instance plus a fresh ``RandomOracle(seed)`` in both
+    executors).
 
     ``cache`` (a :class:`repro.cache.CacheStore`) skips cells whose
     cached case exists: a hit appends the recorded case with
@@ -317,14 +313,6 @@ def run_conformance(network: str,
     budgets, policy) plus ``(plan, seed, record)`` — see
     :mod:`repro.cache.keys`.
     """
-    if workers > 1:
-        from repro import par
-
-        if par.parallelizable(scenario, plans):
-            return par.run_conformance_parallel(
-                scenario, plans=plans, seeds=seeds,
-                max_steps=max_steps, workers=workers,
-                record=record, tracer=tracer, cache=cache)
     grid_started = time.monotonic()
     channel_list = list(channels)
     observed = set(observe) if observe is not None else None
@@ -332,7 +320,7 @@ def run_conformance(network: str,
     tracer = tracer if tracer is not None else NULL_TRACER
     facets = None
     if cache is not None:
-        from repro.cache.keys import cell_cache_key, grid_facets
+        from repro.cache.keys import grid_facets
 
         facets = grid_facets(network, channel_list, observed,
                              max_steps, policy, watchdog_limit, depth)
@@ -343,19 +331,16 @@ def run_conformance(network: str,
             for seed in seeds:
                 cell_key = None
                 if facets is not None:
-                    cell_key = cell_cache_key(facets, plan_name,
-                                              seed, record)
-                    hit = cache.get("cell", cell_key)
-                    if hit is not None:
-                        case = _case_from_cache(hit, plan_name, seed)
-                        if case is not None:
-                            if tracer.enabled:
-                                tracer.event(
-                                    "cache.hit", category="cache",
-                                    track="harness", plan=plan_name,
-                                    seed=seed, outcome=case.outcome)
-                            report.cases.append(case)
-                            continue
+                    cell_key, case = lookup_cell(cache, facets,
+                                                 plan_name, seed, record)
+                    if case is not None:
+                        if tracer.enabled:
+                            tracer.event(
+                                "cache.hit", category="cache",
+                                track="harness", plan=plan_name,
+                                seed=seed, outcome=case.outcome)
+                        report.cases.append(case)
+                        continue
                     if tracer.enabled:
                         tracer.event(
                             "cache.miss", category="cache",
@@ -404,18 +389,28 @@ def run_conformance(network: str,
     return report
 
 
-def _case_from_cache(payload, plan_name: str,
-                     seed: int) -> Optional[ConformanceCase]:
-    """Rebuild a cached cell, treating any malformed payload (or one
-    whose coordinate disagrees with the requested cell — a hash
-    collision) as a miss."""
+def lookup_cell(cache, facets: Mapping, plan_name: str, seed: int,
+                record: bool) -> Tuple[dict, Optional[ConformanceCase]]:
+    """One grid cell's cache key and, on a hit, its cached case.
+
+    Both executors consult the store through here, so a cell is keyed
+    and rebuilt the same way wherever it would run.  A malformed
+    payload, or one whose coordinate disagrees with the requested cell
+    (a hash collision), counts as a miss: the case slot is ``None``.
+    """
+    from repro.cache.keys import cell_cache_key
+
+    key = cell_cache_key(facets, plan_name, seed, record)
+    payload = cache.get("cell", key)
+    if payload is None:
+        return key, None
     try:
         case = ConformanceCase.from_cache_payload(payload)
     except (KeyError, TypeError, ValueError):
-        return None
+        return key, None
     if case.plan != plan_name or case.seed != seed:
-        return None
-    return case
+        return key, None
+    return key, case
 
 
 def replay_conformance_case(schedule: Schedule,

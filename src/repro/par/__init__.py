@@ -40,7 +40,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from repro.core.description import DEFAULT_DEPTH
 from repro.faults.harness import (
@@ -132,27 +132,6 @@ def scenario_names() -> list[str]:
 
 def has_scenario(name: Optional[str]) -> bool:
     return name is not None and name in _SCENARIOS
-
-
-def parallelizable(scenario: Optional[str],
-                   plans: Optional[Mapping[str, Any]] = None) -> bool:
-    """Can this grid take the process-parallel path?
-
-    Requires a registry-addressable scenario (so nothing unpicklable
-    must cross the process boundary), ``fork`` (so caller-registered
-    scenarios are inherited by the workers), and — when the caller
-    supplies a plan mapping — that every plan name is one the scenario
-    can rebuild.
-    """
-    if not has_scenario(scenario):
-        return False
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    if plans is not None:
-        known = set(get_scenario(scenario).plans)
-        if not set(plans) <= known:
-            return False
-    return True
 
 
 # -- the cell task ----------------------------------------------------------
@@ -267,12 +246,15 @@ def run_conformance_parallel(scenario: str,
     report without spinning up a pool.
 
     ``cache`` (a :class:`repro.cache.CacheStore`) is consulted in the
-    parent *before* dispatch: cached cells never reach the pool, and
-    fresh results are stored back as they stream in.  All cache I/O
-    and counters stay in the calling process.
+    parent *before* dispatch, through the same
+    :func:`~repro.faults.harness.lookup_cell` the serial path uses:
+    cached cells never reach the pool, and fresh results are stored
+    back as they stream in.  All cache I/O and counters stay in the
+    calling process.
 
-    With a ``tracer`` attached, each cell runs under its own in-worker
-    tracer and the records are merged back onto the caller's timeline
+    With a ``tracer`` attached, each fleet cell runs under its own
+    in-worker tracer and streams its records back; the fleet commits
+    an accepted attempt's records onto the caller's timeline
     (per-cell track suffixes keep the Perfetto rows apart).
 
     ``fleet`` (a :class:`~repro.par.fleet.FleetPolicy`) configures the
@@ -339,10 +321,14 @@ def run_conformance_parallel(scenario: str,
         report.wall_clock_s = time.monotonic() - started
         if status is not None:
             # serial reference path: fold the finished grid into the
-            # scoreboard in one go
+            # scoreboard in one go, counting hits as the fleet does
             status.workers = 1
+            if cache is not None:
+                status.cache_misses = sum(
+                    not case.cached for case in report.cases)
             for case in report.cases:
-                status.on_complete(case.outcome, case.elapsed_s)
+                status.on_complete(case.outcome, case.elapsed_s,
+                                   cached=case.cached)
             status.finished = True
         return report
 
@@ -351,8 +337,8 @@ def run_conformance_parallel(scenario: str,
     cell_keys: Dict[int, Any] = {}
     cases: Dict[int, ConformanceCase] = {}
     if cache is not None:
-        from repro.cache.keys import cell_cache_key, grid_facets
-        from repro.faults.harness import _case_from_cache
+        from repro.cache.keys import grid_facets
+        from repro.faults.harness import lookup_cell
 
         observed = (set(built.observe)
                     if built.observe is not None else None)
@@ -360,11 +346,8 @@ def run_conformance_parallel(scenario: str,
             built.name, list(built.channels), observed, steps,
             built.policy, built.watchdog_limit, built.depth)
         for i, task in enumerate(tasks):
-            key = cell_cache_key(facets, task.plan, task.seed,
-                                 task.record)
-            hit = cache.get("cell", key)
-            case = (_case_from_cache(hit, task.plan, task.seed)
-                    if hit is not None else None)
+            key, case = lookup_cell(cache, facets, task.plan,
+                                    task.seed, task.record)
             if case is not None:
                 cases[i] = case
                 if status is not None:
@@ -388,42 +371,19 @@ def run_conformance_parallel(scenario: str,
         return finish()
     policy = fleet if fleet is not None else FleetPolicy()
 
-    def on_case(i: int, task: CellTask, case: ConformanceCase,
-                records, epoch_ns: int) -> None:
+    def on_case(i: int, case: ConformanceCase) -> None:
         # fires per cell in completion order — completed results are
         # retained here even if later workers die mid-grid
         cases[i] = case
         if i in cell_keys and case.outcome not in INFRA_OUTCOMES:
             cache.put("cell", cell_keys[i], case.to_cache_payload())
-        if traced and records:
-            _merge_cell_trace(tracer, task, records, epoch_ns)
 
-    fleet_cases, fleet_stats = run_fleet(
+    _, fleet_stats = run_fleet(
         pending, workers=workers, policy=policy, tracer=tracer,
         on_case=on_case, status=status)
-    for i, case in fleet_cases.items():
-        cases.setdefault(i, case)
     report = finish()
     report.fleet_stats = fleet_stats
     return report
-
-
-def _merge_cell_trace(tracer, task: CellTask, records: List[Any],
-                      epoch_ns: int) -> None:
-    """Fold one worker cell's trace records into the parent tracer.
-
-    Timestamps are rebased from the worker tracer's epoch onto the
-    parent's (both count from ``perf_counter_ns``, which is a single
-    machine-wide monotonic clock under ``fork``), and every track gets
-    a per-cell suffix so the merged timeline shows one row group per
-    cell instead of interleaving unrelated cells on one row.
-    """
-    from repro.obs.perfetto import rebase_records
-
-    offset = epoch_ns - getattr(tracer, "_epoch_ns", epoch_ns)
-    tracer.ingest(rebase_records(
-        records, offset_ns=offset,
-        track_suffix=f"@{task.plan}×{task.seed}"))
 
 
 # -- built-in scenarios ------------------------------------------------------
@@ -457,19 +417,16 @@ def _build_dfm() -> Scenario:
     is what the parallel executor should visibly accelerate.
     """
     from repro.channels.channel import Channel
-    from repro.core.description import Description, combine
+    from repro.core.description import combine
     from repro.faults.models import DropFault
     from repro.faults.plan import FaultPlan
-    from repro.functions import chan, even_of, odd_of
     from repro.kahn.agents import dfm_agent, source_agent
+    from repro.processes.merge import dfm_descriptions
 
     b = Channel("b", alphabet={0, 2})
     c = Channel("c", alphabet={1, 3})
     d = Channel("d", alphabet={0, 1, 2, 3})
-    spec = combine([
-        Description(even_of(chan(d)), chan(b)),
-        Description(odd_of(chan(d)), chan(c)),
-    ], name="dfm")
+    spec = combine(dfm_descriptions(b, c, d), name="dfm")
     feed = [0, 2] * 40
 
     def drop(seed: int = 1, p: float = 0.4):

@@ -251,12 +251,12 @@ def _worker_main(conn, chaos: Optional[ChaosSpec],
                 except (BrokenPipeError, OSError):
                     pass        # coordinator gone; the run is over
         try:
-            case, records, epoch_ns = _cell_worker(task, ship=ship)
+            case, _records, epoch_ns = _cell_worker(task, ship=ship)
         except Exception:
             conn.send(("err", traceback.format_exc(limit=30)))
             continue
         try:
-            conn.send(("ok", case, records, epoch_ns))
+            conn.send(("ok", case, epoch_ns))
         except (BrokenPipeError, OSError):
             return
 
@@ -286,7 +286,8 @@ def run_fleet(pending: List[Tuple[int, Any]],
               workers: int,
               policy: Optional[FleetPolicy] = None,
               tracer: Any = None,
-              on_case: Optional[Callable[..., None]] = None,
+              on_case: Optional[Callable[[int, ConformanceCase],
+                                         None]] = None,
               status: Any = None
               ) -> Tuple[Dict[int, ConformanceCase], Dict[str, Any]]:
     """Run ``pending`` cells (``(index, CellTask)`` pairs) over a
@@ -300,11 +301,10 @@ def run_fleet(pending: List[Tuple[int, Any]],
     the fleet telemetry dict that rides on
     ``ConformanceReport.fleet_stats``.
 
-    ``on_case(index, task, case, records, epoch_ns)`` fires as each
-    cell reaches its final state, in completion order — the hook for
-    cache stores and trace merging.  Already-completed results are
-    retained no matter what later workers do: a dying pool can no
-    longer discard the grid.
+    ``on_case(index, case)`` fires as each cell reaches its final
+    state, in completion order — the hook for cache stores.
+    Already-completed results are retained no matter what later
+    workers do: a dying pool can no longer discard the grid.
 
     With a live ``tracer``, traced cells *stream* their records over
     the worker pipes in bounded batches; a
@@ -312,8 +312,8 @@ def run_fleet(pending: List[Tuple[int, Any]],
     idempotently and commits an attempt's spans and metric deltas onto
     the parent timeline only when that attempt's result is accepted —
     failed attempts are abandoned wholesale, so retries never
-    double-count (the ``records`` argument of ``on_case`` is ``None``
-    for streamed cells).  ``status`` (a
+    double-count.  That commit is the only way worker records reach
+    the parent tracer.  ``status`` (a
     :class:`~repro.obs.telemetry.FleetStatus`) receives live
     scoreboard updates for the ``top`` view.
     """
@@ -416,7 +416,7 @@ def run_fleet(pending: List[Tuple[int, Any]],
             worker_died(w, "send failed: worker pipe closed")
 
     def complete(w: _Worker, case: ConformanceCase,
-                 records: Any, epoch_ns: int) -> None:
+                 epoch_ns: int) -> None:
         i, task, attempt, log = w.assigned
         w.assigned = None
         w.deadline = None
@@ -433,7 +433,7 @@ def run_fleet(pending: List[Tuple[int, Any]],
             status.on_settled()
             status.on_complete(case.outcome, case.elapsed_s)
         if on_case is not None:
-            on_case(i, task, case, records, epoch_ns)
+            on_case(i, case)
 
     def attempt_failed(w: Optional[_Worker], item: tuple, kind: str,
                        detail: str, stderr_text: str = "") -> None:
@@ -499,7 +499,7 @@ def run_fleet(pending: List[Tuple[int, Any]],
                     seed=task.seed, attempts=len(log), failure=kind,
                     bundle=str(bundle) if bundle else None)
         if on_case is not None:
-            on_case(i, task, case, None, 0)
+            on_case(i, case)
 
     def worker_died(w: _Worker, why: str = "") -> None:
         code = reap(w)
@@ -593,7 +593,7 @@ def run_fleet(pending: List[Tuple[int, Any]],
                                 and now >= w.deadline:
                             worker_timed_out(w)
                     elif msg[0] == "ok":
-                        complete(w, msg[1], msg[2], msg[3])
+                        complete(w, msg[1], msg[2])
                     else:
                         item = w.assigned
                         w.assigned = None

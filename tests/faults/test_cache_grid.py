@@ -182,6 +182,27 @@ class TestParallelGridCache:
                    if c.plan == "none"}
         assert by_seed == {0: True, 1: False}
 
+    def test_serial_and_pool_scoreboards_agree(self, tmp_path):
+        # where a cell runs must not change how it is counted: a cold
+        # then a warm grid on one store leave the same scoreboard on
+        # either executor
+        self.needs_fork()
+        from repro.obs.telemetry import FleetStatus
+
+        fields = ("done", "cached", "cache_hit_rate", "conforming")
+        boards = {}
+        for workers in (1, 2):
+            store = CacheStore(tmp_path / f"workers-{workers}")
+            boards[workers] = []
+            for _run in ("cold", "warm"):
+                status = FleetStatus()
+                par.run_conformance_parallel(
+                    "dfm", seeds=[0, 1], workers=workers, cache=store,
+                    status=status)
+                snap = status.snapshot()
+                boards[workers].append(tuple(snap[f] for f in fields))
+        assert boards[1] == boards[2] == [(6, 0, 0.0, 6), (6, 6, 1.0, 6)]
+
 
 class TestEmptyGrid:
     def test_no_seeds_is_vacuously_conforming(self):

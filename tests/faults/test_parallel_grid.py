@@ -2,9 +2,9 @@
 
 The parallel executor only works if everything a worker sends back
 survives the pickle boundary with content intact: these tests pin the
-round-trips (channels, events, schedules, full cases), the registry
-gating that decides when parallelism is even attempted, and the serial
-fallback paths.
+round-trips (channels, events, schedules, full cases), the scenario
+registry the workers rebuild cells from, and the serial fallback
+paths.
 """
 
 import os
@@ -15,13 +15,12 @@ import pytest
 from repro import par
 from repro.channels.channel import Channel
 from repro.channels.event import Event
-from repro.faults.harness import ConformanceReport, run_conformance
+from repro.faults.harness import ConformanceReport
 from repro.par import (
     CellTask,
     Scenario,
     get_scenario,
     has_scenario,
-    parallelizable,
     register_scenario,
     run_cell,
     run_conformance_parallel,
@@ -123,17 +122,24 @@ class TestRegistry:
         finally:
             par._SCENARIOS.pop(name, None)
 
-    def test_parallelizable_gating(self):
-        assert not parallelizable(None)
-        assert not parallelizable("no-such-scenario")
-        if FORK_AVAILABLE:
-            assert parallelizable("dfm")
-            sc = get_scenario("dfm")
-            assert parallelizable("dfm", sc.plans)
-            # plan names outside the registered scenario's plans mean
-            # the workers could not rebuild them -> not parallelizable
-            assert not parallelizable(
-                "dfm", {"unknown-plan": lambda: None})
+    def test_registry_dfm_is_the_catalog_dfm(self):
+        # the registry writes no dfm equations of its own: its spec is
+        # the catalog's, over the registry's alphabets
+        from repro.cache.keys import description_digest
+        from repro.core import SmoothSolutionSolver
+        from repro.processes.merge import make_dfm
+
+        sc = get_scenario("dfm")
+        catalog = make_dfm(evens={0, 2}, odds={1, 3})
+        assert description_digest(sc.spec) == \
+            description_digest(catalog.description())
+
+        def solve_digest(spec, channels):
+            solver = SmoothSolutionSolver.over_channels(spec, channels)
+            return solver.explore(4).digest()
+
+        assert solve_digest(sc.spec, sc.solve_channels) == \
+            solve_digest(catalog.description(), catalog.channels)
 
 
 class TestSerialFallback:
@@ -151,16 +157,6 @@ class TestSerialFallback:
             workers=8)
         assert len(report.cases) == 1
         assert report.all_conform
-
-    def test_harness_falls_back_when_not_registered(self):
-        sc = get_scenario("dfm")
-        report = run_conformance(
-            sc.name, sc.agents, sc.channels, sc.spec, sc.plans,
-            seeds=[0], observe=sc.observe, max_steps=sc.max_steps,
-            watchdog_limit=sc.watchdog_limit, depth=sc.depth,
-            workers=4, scenario="not-a-registered-scenario")
-        assert report.all_conform
-        assert len(report.cases) == len(sc.plans)
 
 
 @pytest.mark.skipif(not FORK_AVAILABLE,
