@@ -27,15 +27,9 @@ from repro.anomaly import (
     trace_of_output,
 )
 from repro.channels import Channel, Event
-from repro.core import Description, combine
-from repro.functions import (
-    affine_of,
-    chan,
-    even_of,
-    odd_of,
-    prepend_of,
-    scale_of,
-)
+from repro.core import combine
+from repro.processes.deterministic import doubling_descriptions
+from repro.processes.merge import dfm_descriptions
 from repro.seq import misra_x, misra_z
 from repro.traces import Trace
 
@@ -45,10 +39,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 @pytest.mark.parametrize("length", [2, 4])
@@ -108,11 +99,7 @@ def test_brock_ackermann_ablation(benchmark):
 @pytest.mark.parametrize("depth", [16, 32, 64])
 def test_depth_sensitivity(benchmark, depth):
     d = Channel("d")
-    desc = combine([
-        Description(even_of(chan(d)),
-                    prepend_of(0, scale_of(2, chan(d)))),
-        Description(odd_of(chan(d)), affine_of(2, 1, chan(d))),
-    ], name="fig3")
+    desc = combine(doubling_descriptions(d), name="fig3")
 
     def d_trace(seq):
         def gen():

@@ -9,17 +9,11 @@ the dataflow literature always reaches for.  Rows reported:
   more loss → more retransmissions, same delivered sequence).
 """
 
-import pathlib
-import sys
-
 import pytest
 from conftest import banner, row
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "examples")
-)
-
-from alternating_bit import (  # noqa: E402
+from repro.kahn import RandomOracle, run_network
+from repro.processes.alternating_bit import (
     CHANNELS,
     MESSAGES,
     OUT,
@@ -27,7 +21,6 @@ from alternating_bit import (  # noqa: E402
     protocol_network,
     service_spec,
 )
-from repro.kahn import RandomOracle, run_network  # noqa: E402
 
 
 @pytest.mark.parametrize("drop_bound", [0, 1, 3])

@@ -23,11 +23,10 @@ from conftest import banner, row
 
 from repro.cache.store import CacheStore
 from repro.channels.channel import Channel
-from repro.core.description import Description, combine
+from repro.core.description import combine
 from repro.core.solver import SmoothSolutionSolver
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
 from repro.par import run_conformance_parallel
+from repro.processes.merge import dfm_descriptions
 
 GRID_SEEDS = range(int(os.environ.get("CACHE_GRID_SEEDS", "4")))
 
@@ -37,10 +36,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def _dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def _cell_digests(report):

@@ -15,18 +15,12 @@ reported:
   nothing for the observatory.
 """
 
-import pathlib
-import sys
 import time
 
 from conftest import banner, row
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "examples")
-)
-
-from repro import par  # noqa: E402
-from repro.obs import (  # noqa: E402
+from repro import par
+from repro.obs import (
     CausalGraph,
     RingBufferSink,
     Tracer,
@@ -94,20 +88,13 @@ def test_disabled_path_allocates_nothing(benchmark):
     """Without a tracer the solver must not allocate a profile — the
     observatory's disabled path is the pre-existing hot path."""
     from repro.channels import Channel
-    from repro.core import (
-        Description,
-        SmoothSolutionSolver,
-        combine,
-    )
-    from repro.functions import chan, even_of, odd_of
+    from repro.core import SmoothSolutionSolver, combine
+    from repro.processes.merge import dfm_descriptions
 
     b = Channel("b", alphabet={0, 2})
     c = Channel("c", alphabet={1, 3})
     d = Channel("d", alphabet={0, 1, 2, 3})
-    spec = combine([
-        Description(even_of(chan(d)), chan(b)),
-        Description(odd_of(chan(d)), chan(c)),
-    ], name="dfm")
+    spec = combine(dfm_descriptions(b, c, d), name="dfm")
 
     def explore():
         solver = SmoothSolutionSolver.over_channels(spec, [b, c, d])

@@ -23,11 +23,10 @@ import time
 from conftest import banner, row
 
 from repro.channels.channel import Channel
-from repro.core.description import Description, combine
+from repro.core.description import combine
 from repro.core.solver import SmoothSolutionSolver, alphabet_candidates
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
 from repro.par import run_conformance_parallel
+from repro.processes.merge import dfm_descriptions
 
 B = Channel("b", alphabet={0, 2})
 C = Channel("c", alphabet={1, 3})
@@ -38,10 +37,7 @@ MIN_SPEEDUP = float(os.environ.get("COMPILE_MIN_SPEEDUP", "10"))
 
 
 def _dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def _solver(compiled):

@@ -12,10 +12,10 @@ import pytest
 from conftest import banner, row
 
 from repro.channels import Channel
-from repro.core import Description, combine, solve
-from repro.functions import chan, even_of, odd_of
+from repro.core import combine, solve
 from repro.kahn.agents import dfm_agent, source_agent
 from repro.kahn.quiescence import collect_traces
+from repro.processes.merge import dfm_descriptions
 from repro.seq import fseq
 
 B = Channel("b", alphabet={0, 2})
@@ -24,10 +24,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def network():

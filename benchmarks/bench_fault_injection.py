@@ -15,37 +15,28 @@ enough to run in CI; set ``FAULT_GRID_SEEDS`` for a denser grid.
 """
 
 import os
-import pathlib
-import sys
 
 import pytest
 from conftest import banner, row
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "examples")
-)
-
-from alternating_bit import (  # noqa: E402
+from repro.faults import run_conformance, run_supervised
+from repro.kahn import RandomOracle
+from repro.par import get_scenario
+from repro.processes.alternating_bit import (
     FAULTY_CHANNELS,
     MESSAGES,
     OUT,
     direct_agents,
-    fair_loss_plan,
-    loss_and_duplication_plan,
     service_spec,
     unfair_loss_plan,
 )
-from repro.faults import no_faults, run_conformance, run_supervised  # noqa: E402
-from repro.kahn import RandomOracle  # noqa: E402
 
 SEEDS = range(int(os.environ.get("FAULT_GRID_SEEDS", "6")))
 
-PLAN_FAMILIES = {
-    "no-faults": no_faults,
-    "fair-loss": lambda: fair_loss_plan(seed=11),
-    "heavy-loss": lambda: fair_loss_plan(seed=23, p=0.5),
-    "loss+dup": lambda: loss_and_duplication_plan(seed=5),
-}
+#: the registry's fair plans (its default grid)
+_ABP = get_scenario("alternating_bit")
+PLAN_FAMILIES = {name: plan for name, plan in _ABP.plans.items()
+                 if name not in _ABP.unfair}
 
 
 @pytest.mark.parametrize("plan_name", sorted(PLAN_FAMILIES))
@@ -82,7 +73,7 @@ def test_traced_grid_writes_jsonl():
     report = run_conformance(
         "abp-direct", direct_agents(MESSAGES), FAULTY_CHANNELS,
         service_spec(MESSAGES).combined(),
-        {"fair-loss": lambda: fair_loss_plan(seed=11)},
+        {"fair-loss": PLAN_FAMILIES["fair-loss"]},
         seeds=range(2), observe={OUT}, max_steps=4000,
         watchdog_limit=600, tracer=tracer,
     )
@@ -106,7 +97,7 @@ def test_recorder_overhead_within_noise(benchmark):
     import time
 
     spec = service_spec(MESSAGES).combined()
-    plans = {"fair-loss": lambda: fair_loss_plan(seed=11)}
+    plans = {"fair-loss": PLAN_FAMILIES["fair-loss"]}
 
     def campaign(record):
         return run_conformance(

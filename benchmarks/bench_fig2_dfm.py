@@ -11,10 +11,10 @@ Paper claims regenerated:
 from conftest import banner, row
 
 from repro.channels import Channel
-from repro.core import Description, combine, solve
-from repro.functions import chan, even_of, odd_of
+from repro.core import combine, solve
 from repro.kahn import check_operational_soundness, collect_traces
 from repro.kahn.agents import dfm_agent, source_agent
+from repro.processes.merge import dfm_descriptions
 from repro.traces import Trace
 
 B = Channel("b", alphabet={0, 2})
@@ -23,10 +23,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def network():

@@ -13,16 +13,14 @@ Paper claims regenerated:
 from conftest import banner, row
 
 from repro.channels import Channel, Event
-from repro.core import Description, combine, eliminate_channels
+from repro.core import combine, eliminate_channels
 from repro.core.description import DescriptionSystem
-from repro.functions import (
-    affine_of,
-    chan,
-    even_of,
-    odd_of,
-    prepend_of,
-    scale_of,
+from repro.processes.deterministic import (
+    affine_description,
+    doubler_description,
+    doubling_descriptions,
 )
+from repro.processes.merge import dfm_descriptions
 from repro.seq import misra_x, misra_y, misra_z
 from repro.traces import Trace
 
@@ -31,11 +29,7 @@ DEPTH = 48
 
 
 def description():
-    return combine([
-        Description(even_of(chan(D)),
-                    prepend_of(0, scale_of(2, chan(D)))),
-        Description(odd_of(chan(D)), affine_of(2, 1, chan(D))),
-    ], name="fig3")
+    return combine(doubling_descriptions(D), name="fig3")
 
 
 def d_trace(seq, name):
@@ -82,13 +76,8 @@ def test_elimination_derives_network_description(benchmark):
 
     def derive():
         full = DescriptionSystem(
-            [
-                Description(chan(b),
-                            prepend_of(0, scale_of(2, chan(D)))),
-                Description(chan(c), affine_of(2, 1, chan(D))),
-                Description(even_of(chan(D)), chan(b)),
-                Description(odd_of(chan(D)), chan(c)),
-            ],
+            [doubler_description(D, b), affine_description(D, c),
+             *dfm_descriptions(b, c, D)],
             channels=[b, c, D],
         )
         return eliminate_channels(full, [b, c])

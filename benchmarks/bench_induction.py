@@ -19,8 +19,9 @@ from repro.core import (
     conclude,
     holds_on_prefixes,
 )
-from repro.functions import chan, even_of, odd_of
+from repro.functions import chan
 from repro.functions.base import const_seq
+from repro.processes.merge import dfm_descriptions
 from repro.seq import fseq
 from repro.traces import Trace
 
@@ -30,10 +31,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def outputs_justified(t: Trace) -> bool:

@@ -26,11 +26,10 @@ import pytest
 from conftest import banner, row
 
 from repro.channels.channel import Channel
-from repro.core.description import Description, combine
+from repro.core.description import combine
 from repro.core.solver import SmoothSolutionSolver, SolverResult
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
 from repro.par import get_scenario, run_conformance_parallel
+from repro.processes.merge import dfm_descriptions
 from repro.traces.trace import Trace
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
@@ -105,10 +104,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def _dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def _naive_explore(solver, max_depth):

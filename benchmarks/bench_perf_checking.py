@@ -13,8 +13,9 @@ import pytest
 from conftest import banner, row
 
 from repro.channels import Channel
-from repro.core import Description, combine
-from repro.functions import chan, even_of, odd_of
+from repro.core import combine
+from repro.functions import chan, even_of
+from repro.processes.merge import dfm_descriptions
 from repro.traces import Trace
 
 B = Channel("b", alphabet={0, 2})
@@ -23,10 +24,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def periodic_solution(length: int) -> Trace:

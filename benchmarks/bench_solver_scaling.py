@@ -15,8 +15,9 @@ from conftest import banner, row
 
 from repro.channels import Channel
 from repro.core import Description, SmoothSolutionSolver, combine
-from repro.functions import chan, even_of, odd_of, prepend_of
+from repro.functions import chan, prepend_of
 from repro.functions.base import const_seq
+from repro.processes.merge import dfm_descriptions
 from repro.seq import fseq
 
 B = Channel("b", alphabet={0, 2})
@@ -33,10 +34,7 @@ def chaos_solver():
 
 
 def dfm_solver():
-    desc = combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    desc = combine(dfm_descriptions(B, C, D), name="dfm")
     return SmoothSolutionSolver.over_channels(desc, [B, C, D])
 
 

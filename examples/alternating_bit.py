@@ -24,93 +24,30 @@ models, a conformance grid checks every quiescent trace against the
 service spec, and an *unfair* black-hole channel shows the supervised
 runtime's watchdog catching the resulting retransmission livelock.
 
+The protocol itself (channels, agents, service spec and fault plans)
+is defined in ``repro.processes.alternating_bit``; this script is the
+demo.
+
 Run:  python examples/alternating_bit.py
 """
 
-from repro.channels import Channel
-from repro.core import Description, DescriptionSystem
-from repro.faults import (
-    DropFault,
-    DuplicateFault,
-    FaultPlan,
-    no_faults,
-    run_conformance,
-    run_supervised,
-)
-from repro.functions import chan
-from repro.functions.base import const_seq
+from repro.faults import no_faults, run_conformance, run_supervised
 from repro.kahn import RandomOracle, run_network
-from repro.kahn.effects import Poll, Recv, Send
-from repro.processes.lossy import lossy_agent
+from repro.processes.alternating_bit import (
+    CHANNELS,
+    FAULTY_CHANNELS,
+    MESSAGES,
+    OUT,
+    S2C,
+    direct_agents,
+    fair_loss_plan,
+    loss_and_duplication_plan,
+    protocol_network,
+    service_spec,
+    unfair_loss_plan,
+)
 from repro.reasoning import SafetyProperty, check_progress, eventually_count
 from repro.seq import FiniteSeq
-from repro.traces import Trace
-
-MESSAGES = ["alpha", "beta", "gamma"]
-ALPHABET = frozenset(MESSAGES)
-TAGGED = frozenset((bit, m) for bit in (0, 1) for m in MESSAGES)
-ACKS = frozenset({0, 1})
-
-OUT = Channel("out", alphabet=ALPHABET)
-S2C = Channel("s2c", alphabet=TAGGED)      # sender → data channel
-C2R = Channel("c2r", alphabet=TAGGED)      # data channel → receiver
-R2C = Channel("r2c", alphabet=ACKS)        # receiver → ack channel
-C2S = Channel("c2s", alphabet=ACKS)        # ack channel → sender
-
-
-def sender(messages, retransmit_limit=25):
-    """Stop-and-wait: send (bit, m), poll for the matching ack,
-    retransmit while it has not arrived."""
-    bit = 0
-    for m in messages:
-        yield Send(S2C, (bit, m))
-        attempts = 0
-        while True:
-            has_ack = yield Poll(C2S)
-            if has_ack:
-                ack = yield Recv(C2S)
-                if ack == bit:
-                    break  # delivered; next message
-                continue   # stale ack for the previous bit
-            attempts += 1
-            if attempts > retransmit_limit:
-                return  # give up (never reached with fair channels)
-            yield Send(S2C, (bit, m))
-        bit ^= 1
-
-
-def receiver():
-    """Deliver fresh bits, ack everything, drop duplicates."""
-    expected = 0
-    while True:
-        bit, message = yield Recv(C2R)
-        yield Send(R2C, bit)
-        if bit == expected:
-            yield Send(OUT, message)
-            expected ^= 1
-
-
-def protocol_network(messages, drop_bound=2):
-    return {
-        "sender": sender(messages),
-        "data-channel": lossy_agent(S2C, C2R,
-                                    max_consecutive_drops=drop_bound),
-        "ack-channel": lossy_agent(R2C, C2S,
-                                   max_consecutive_drops=drop_bound),
-        "receiver": receiver(),
-    }
-
-
-CHANNELS = [OUT, S2C, C2R, R2C, C2S]
-
-
-def service_spec(messages) -> DescriptionSystem:
-    """The end-to-end Kahn specification: out ⟵ ⟨m₁ … mₖ⟩."""
-    return DescriptionSystem(
-        [Description(chan(OUT), const_seq(FiniteSeq(messages)),
-                     name="out ⟵ submitted")],
-        channels=[OUT], name="service",
-    )
 
 
 def delivery_safety(messages) -> SafetyProperty:
@@ -119,83 +56,6 @@ def delivery_safety(messages) -> SafetyProperty:
     return SafetyProperty(
         "deliveries prefix submission",
         lambda t: t.messages_on(OUT).is_prefix_of(submitted),
-    )
-
-
-# -- part two: the same protocol over fault-injected channels ----------------
-#
-# Instead of modelling loss as explicit channel agents, the sender and
-# receiver talk over DATA/ACK directly and a FaultPlan perturbs the
-# wires.  The channel's recorded stream is the post-fault delivery
-# stream (the §4.6 Fork reading), so the service spec needs no change.
-
-DATA = Channel("data", alphabet=TAGGED)
-ACK = Channel("ack", alphabet=ACKS)
-FAULTY_CHANNELS = [OUT, DATA, ACK]
-
-
-def direct_sender(messages, retransmit_limit=50):
-    """Stop-and-wait over the faulted wire.  ``retransmit_limit=None``
-    never gives up — reliable against fair loss, a livelock against an
-    unfair black hole."""
-    bit = 0
-    for m in messages:
-        yield Send(DATA, (bit, m))
-        attempts = 0
-        while True:
-            has_ack = yield Poll(ACK)
-            if has_ack:
-                ack = yield Recv(ACK)
-                if ack == bit:
-                    break
-                continue
-            attempts += 1
-            if retransmit_limit is not None and attempts > retransmit_limit:
-                return
-            yield Send(DATA, (bit, m))
-        bit ^= 1
-
-
-def direct_receiver():
-    expected = 0
-    while True:
-        bit, message = yield Recv(DATA)
-        yield Send(ACK, bit)
-        if bit == expected:
-            yield Send(OUT, message)
-            expected ^= 1
-
-
-def direct_agents(messages, retransmit_limit=50):
-    """Agent factories (restartable) for the fault-injected protocol."""
-    return {
-        "sender": lambda: direct_sender(messages, retransmit_limit),
-        "receiver": direct_receiver,
-    }
-
-
-def fair_loss_plan(seed, p=0.35, bound=2):
-    """Fair-lossy wires: at most ``bound`` consecutive drops."""
-    return FaultPlan({
-        DATA: DropFault(seed=seed, p=p, max_consecutive_drops=bound),
-        ACK: DropFault(seed=seed + 1, p=p, max_consecutive_drops=bound),
-    }, name=f"fair-loss(p={p})")
-
-
-def loss_and_duplication_plan(seed):
-    """Drops and duplicates on the data wire, drops on the ack wire."""
-    return FaultPlan({
-        DATA: [DropFault(seed=seed, p=0.3, max_consecutive_drops=2),
-               DuplicateFault(seed=seed + 7, p=0.3)],
-        ACK: DropFault(seed=seed + 1, p=0.3, max_consecutive_drops=2),
-    }, name="loss+dup")
-
-
-def unfair_loss_plan():
-    """A black hole on the data wire: unbounded, certain loss."""
-    return FaultPlan(
-        {DATA: DropFault(seed=0, p=1.0, max_consecutive_drops=None)},
-        name="black-hole",
     )
 
 

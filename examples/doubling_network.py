@@ -16,16 +16,14 @@ Run:  python examples/doubling_network.py
 """
 
 from repro.channels import Channel, Event
-from repro.core import Description, combine, eliminate_channels
+from repro.core import combine, eliminate_channels
 from repro.core.description import DescriptionSystem
-from repro.functions import (
-    affine_of,
-    chan,
-    even_of,
-    odd_of,
-    prepend_of,
-    scale_of,
+from repro.processes.deterministic import (
+    affine_description,
+    doubler_description,
+    doubling_descriptions,
 )
+from repro.processes.merge import dfm_descriptions
 from repro.seq import Seq, misra_x, misra_y, misra_z
 from repro.traces import Trace
 
@@ -34,13 +32,7 @@ DEPTH = 48
 
 
 def description():
-    return combine([
-        Description(even_of(chan(D)),
-                    prepend_of(0, scale_of(2, chan(D))),
-                    name="even(d) ⟵ 0;2×d"),
-        Description(odd_of(chan(D)), affine_of(2, 1, chan(D)),
-                    name="odd(d) ⟵ 2×d+1"),
-    ], name="fig3")
+    return combine(doubling_descriptions(D), name="fig3")
 
 
 def d_trace(seq: Seq, name: str) -> Trace:
@@ -61,20 +53,12 @@ def main() -> None:
     b = Channel("b")
     c = Channel("c")
     full = DescriptionSystem(
-        [
-            Description(chan(b), prepend_of(0, scale_of(2, chan(D))),
-                        name="b ⟵ 0;2×d   {P}"),
-            Description(chan(c), affine_of(2, 1, chan(D)),
-                        name="c ⟵ 2×d+1   {Q}"),
-            Description(even_of(chan(D)), chan(b),
-                        name="even(d) ⟵ b  {dfm}"),
-            Description(odd_of(chan(D)), chan(c),
-                        name="odd(d) ⟵ c   {dfm}"),
-        ],
+        [doubler_description(D, b), affine_description(D, c),
+         *dfm_descriptions(b, c, D)],
         channels=[b, c, D],
     )
-    for desc in full:
-        print(f"  {desc.name}")
+    for desc, process in zip(full, ("P", "Q", "dfm", "dfm")):
+        print(f"  {desc.name:<13}{{{process}}}")
     derived = eliminate_channels(full, [b, c])
     print("after eliminating b, c:")
     for desc in derived:

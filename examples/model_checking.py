@@ -16,10 +16,10 @@ Run:  python examples/model_checking.py
 """
 
 from repro.channels import Channel
-from repro.core import Description, combine, solve
+from repro.core import combine, solve
 from repro.kahn import exhaustive_quiescent_traces
 from repro.kahn.agents import dfm_agent, source_agent
-from repro.functions import chan, even_of, odd_of
+from repro.processes.merge import dfm_descriptions
 from repro.reasoning import (
     check_progress,
     check_safety_on_description,
@@ -37,10 +37,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def main() -> None:
-    dfm = combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    dfm = combine(dfm_descriptions(B, C, D), name="dfm")
 
     print("== safety on every reachable history ==")
     for prop in [

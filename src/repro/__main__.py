@@ -123,24 +123,13 @@ def cmd_anomaly() -> int:
 
 def cmd_fig3() -> int:
     from repro.channels import Channel, Event
-    from repro.core import Description, combine
-    from repro.functions import (
-        affine_of,
-        chan,
-        even_of,
-        odd_of,
-        prepend_of,
-        scale_of,
-    )
+    from repro.core import combine
+    from repro.processes.deterministic import doubling_descriptions
     from repro.seq import misra_x, misra_y, misra_z
     from repro.traces import Trace
 
     d = Channel("d")
-    desc = combine([
-        Description(even_of(chan(d)),
-                    prepend_of(0, scale_of(2, chan(d)))),
-        Description(odd_of(chan(d)), affine_of(2, 1, chan(d))),
-    ], name="fig3")
+    desc = combine(doubling_descriptions(d), name="fig3")
 
     def d_trace(seq):
         def gen():

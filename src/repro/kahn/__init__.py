@@ -36,7 +36,6 @@ from repro.kahn.explore import (
     exhaustive_quiescent_traces,
     explore_schedules,
 )
-from repro.kahn.wiring import OperationalNetwork
 from repro.kahn.validate import (
     CrossCheckReport,
     check_denotational_completeness,
@@ -52,7 +51,6 @@ __all__ = [
     "ExplorationResult",
     "FirstOracle",
     "Halt",
-    "OperationalNetwork",
     "Oracle",
     "Poll",
     "RandomOracle",

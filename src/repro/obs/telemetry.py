@@ -174,8 +174,7 @@ class TelemetryMerger:
     # -- settle ----------------------------------------------------------
 
     def commit(self, cell: str, attempt: int,
-               track_suffix: str = "",
-               epoch_ns: Optional[int] = None) -> int:
+               track_suffix: str = "") -> int:
         """Fold an accepted attempt's records into the parent tracer
         (in sequence order, rebased onto the parent clock) and its
         metric deltas into the committed registry.  Returns the number
@@ -191,8 +190,7 @@ class TelemetryMerger:
         records: List[Any] = []
         for seq in sorted(slot["batches"]):
             records.extend(slot["batches"][seq])
-        worker_epoch = epoch_ns if epoch_ns is not None \
-            else slot["epoch_ns"]
+        worker_epoch = slot["epoch_ns"]
         if records and self.tracer is not None \
                 and getattr(self.tracer, "enabled", False):
             from repro.obs.perfetto import rebase_records

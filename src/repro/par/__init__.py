@@ -22,10 +22,12 @@ scalars.  Results come back as ordinary
 schedules, metrics and digests intact (the channel/event/sequence
 types carry explicit pickle support for exactly this trip).
 
-Workers are forked, so scenarios registered by the calling process —
-including test-local ones — are visible in the workers without any
-import gymnastics; on platforms without ``fork`` the grid falls back
-to the serial executor.
+The built-in scenarios (``dfm`` and ``alternating_bit``) are built
+from the process catalog (:mod:`repro.processes`), so the registry
+needs nothing outside the package.  Workers are forked, so scenarios
+registered by the calling process — including test-local ones — are
+visible in the workers without any import gymnastics; on platforms
+without ``fork`` the grid falls back to the serial executor.
 
 Execution is supervised: the cells run on the :mod:`repro.par.fleet`
 coordinator (per-cell deadlines, bounded retries with seeded-jitter
@@ -47,6 +49,7 @@ from repro.faults.harness import (
     INFRA_OUTCOMES,
     ConformanceCase,
     ConformanceReport,
+    no_faults,
 )
 from repro.faults.supervision import RestartPolicy
 from repro.par.fleet import (  # noqa: F401  (re-exported API)
@@ -102,8 +105,8 @@ def register_scenario(name: str,
     """Register a scenario builder under ``name`` (decorator-friendly).
 
     Builders must be self-contained: a worker process calls them after
-    a fork (or after importing this module), so they may import
-    example modules and close over nothing from the caller.
+    a fork (or after importing this module), so they import what they
+    need from the package and close over nothing from the caller.
     """
     if builder is None:
         def deco(fn: ScenarioBuilder) -> ScenarioBuilder:
@@ -153,18 +156,15 @@ def run_cell(task: CellTask) -> ConformanceCase:
     """Run one cell through the serial harness (fresh scenario, fresh
     plan, fresh oracle) — the parallel executor's unit of work, and by
     construction the same computation the serial grid performs."""
-    case, _records, _epoch = _cell_worker(task)
+    case, _records = _cell_worker(task)
     return case
 
 
 def _cell_worker(task: CellTask, ship=None):
     """Worker-side cell execution.
 
-    Returns ``(case, trace_records, trace_epoch_ns)``: the classified
-    case plus, when ``task.traced``, the cell's raw tracer records and
-    the worker tracer's epoch (``time.perf_counter_ns`` is machine-wide
-    monotonic on the platforms that offer ``fork``, so the parent can
-    rebase worker timestamps onto its own timeline).
+    Returns ``(case, trace_records)``: the classified case plus, when
+    ``task.traced``, the cell's raw tracer records.
 
     With a ``ship`` callback the records are *streamed* instead of
     buffered: a :class:`~repro.obs.telemetry.StreamingSink` sends
@@ -173,13 +173,16 @@ def _cell_worker(task: CellTask, ship=None):
     partial batch is flushed before the case is returned, and the
     records slot of the return value is ``None`` — the coordinator's
     :class:`~repro.obs.telemetry.TelemetryMerger` already has them.
+    Every batch carries the worker tracer's epoch
+    (``time.perf_counter_ns`` is machine-wide monotonic on the
+    platforms that offer ``fork``), so the coordinator can rebase
+    worker timestamps onto its own timeline.
     """
     from repro.faults.harness import run_conformance
 
     scenario = get_scenario(task.scenario)
     tracer = None
     ring = None
-    epoch_ns = 0
     if task.traced:
         from repro.obs.tracer import Tracer
 
@@ -194,7 +197,6 @@ def _cell_worker(task: CellTask, ship=None):
 
             ring = RingBufferSink()
             tracer = Tracer([ring])
-        epoch_ns = tracer._epoch_ns
     report = run_conformance(
         scenario.name, scenario.agents, scenario.channels,
         scenario.spec, {task.plan: scenario.plans[task.plan]},
@@ -206,7 +208,7 @@ def _cell_worker(task: CellTask, ship=None):
     [case] = report.cases
     if tracer is not None:
         tracer.close()      # streaming: flush the final partial batch
-    return case, (list(ring) if ring is not None else None), epoch_ns
+    return case, (list(ring) if ring is not None else None)
 
 
 # -- the parallel grid ------------------------------------------------------
@@ -389,25 +391,6 @@ def run_conformance_parallel(scenario: str,
 # -- built-in scenarios ------------------------------------------------------
 
 
-def _examples_dir():
-    import pathlib
-
-    return pathlib.Path(__file__).resolve().parents[3] / "examples"
-
-
-def _import_example(name: str):
-    import importlib
-    import sys
-
-    examples = _examples_dir()
-    if not examples.is_dir():
-        raise FileNotFoundError(
-            f"examples directory not found at {examples}")
-    if str(examples) not in sys.path:
-        sys.path.insert(0, str(examples))
-    return importlib.import_module(name)
-
-
 @register_scenario("dfm")
 def _build_dfm() -> Scenario:
     """The §2.2 discriminated fair merge under drop faults.
@@ -450,12 +433,13 @@ def _build_dfm() -> Scenario:
 
 @register_scenario("alternating_bit")
 def _build_alternating_bit() -> Scenario:
-    """The fault-injected ABP grid from ``examples/alternating_bit.py``.
+    """The fault-injected ABP grid over the direct wiring of
+    :mod:`repro.processes.alternating_bit`.
 
     The sender never gives up, so every fair-plan cell conforms and the
     unfair ``black-hole`` plan (left out of the default grid) livelocks.
     """
-    abp = _import_example("alternating_bit")
+    from repro.processes import alternating_bit as abp
 
     return Scenario(
         name="abp-direct",
@@ -463,7 +447,7 @@ def _build_alternating_bit() -> Scenario:
         channels=abp.FAULTY_CHANNELS,
         spec=abp.service_spec(abp.MESSAGES).combined(),
         plans={
-            "no-faults": abp.no_faults,
+            "no-faults": no_faults,
             "fair-loss": lambda: abp.fair_loss_plan(seed=11),
             "heavy-loss": lambda: abp.fair_loss_plan(seed=23, p=0.5),
             "loss+dup": lambda: abp.loss_and_duplication_plan(seed=5),

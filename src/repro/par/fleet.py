@@ -251,12 +251,12 @@ def _worker_main(conn, chaos: Optional[ChaosSpec],
                 except (BrokenPipeError, OSError):
                     pass        # coordinator gone; the run is over
         try:
-            case, _records, epoch_ns = _cell_worker(task, ship=ship)
+            case, _records = _cell_worker(task, ship=ship)
         except Exception:
             conn.send(("err", traceback.format_exc(limit=30)))
             continue
         try:
-            conn.send(("ok", case, epoch_ns))
+            conn.send(("ok", case))
         except (BrokenPipeError, OSError):
             return
 
@@ -415,8 +415,7 @@ def run_fleet(pending: List[Tuple[int, Any]],
         except (BrokenPipeError, OSError):
             worker_died(w, "send failed: worker pipe closed")
 
-    def complete(w: _Worker, case: ConformanceCase,
-                 epoch_ns: int) -> None:
+    def complete(w: _Worker, case: ConformanceCase) -> None:
         i, task, attempt, log = w.assigned
         w.assigned = None
         w.deadline = None
@@ -425,10 +424,8 @@ def run_fleet(pending: List[Tuple[int, Any]],
         stats["completed"] += 1
         metrics.histogram("fleet.attempts").record(attempt)
         if merger is not None:
-            merger.commit(
-                cell_salt(task), attempt,
-                track_suffix=f"@{task.plan}×{task.seed}",
-                epoch_ns=epoch_ns)
+            merger.commit(cell_salt(task), attempt,
+                          track_suffix=f"@{task.plan}×{task.seed}")
         if status is not None:
             status.on_settled()
             status.on_complete(case.outcome, case.elapsed_s)
@@ -593,7 +590,7 @@ def run_fleet(pending: List[Tuple[int, Any]],
                                 and now >= w.deadline:
                             worker_timed_out(w)
                     elif msg[0] == "ok":
-                        complete(w, msg[1], msg[2])
+                        complete(w, msg[1])
                     else:
                         item = w.assigned
                         w.assigned = None

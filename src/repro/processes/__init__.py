@@ -1,6 +1,8 @@
-"""The process catalog: §2's deterministic processes and §4's examples."""
+"""The process catalog: §2's deterministic processes, §4's examples
+and the alternating-bit protocol."""
 
 from repro.processes import (
+    alternating_bit,
     chaos,
     deterministic,
     fair_random,
@@ -20,6 +22,7 @@ __all__ = [
     "DescribedProcess",
     "Network",
     "Process",
+    "alternating_bit",
     "chaos",
     "deterministic",
     "fair_random",

@@ -4,6 +4,8 @@
 * ``prepend0``    — ``b ⟵ 0; c`` (§2.1's modified second process);
 * ``doubler`` P   — ``b ⟵ 0; 2×d`` (§2.3, Figure 3);
 * ``affine`` Q    — ``c ⟵ 2×d + 1`` (§2.3);
+* ``doubling``    — Figure 3 with ``b``, ``c`` eliminated from P, Q and
+  dfm: ``even(d) ⟵ 0;2×d , odd(d) ⟵ 2×d+1`` (§2.3);
 * Brock–Ackermann A — ``even(c) ⟵ ⟨0 2⟩ , odd(c) ⟵ b`` (§2.4) — a fair
   merge of the input with the stored sequence ``⟨0 2⟩`` (even outputs
   discriminate the stored items from the odd inputs);
@@ -56,6 +58,17 @@ def affine_description(d: Channel, c: Channel) -> Description:
     """Process Q of §2.3: ``c ⟵ 2×d + 1``."""
     return Description(chan(c), affine_of(2, 1, chan(d)),
                        name=f"{c.name} ⟵ 2×{d.name}+1")
+
+
+def doubling_descriptions(d: Channel) -> list[Description]:
+    """Figure 3 after §2.3 eliminates ``b`` and ``c`` from P, Q and
+    dfm: ``even(d) ⟵ 0;2×d , odd(d) ⟵ 2×d+1``."""
+    return [
+        Description(even_of(chan(d)), prepend_of(0, scale_of(2, chan(d))),
+                    name=f"even({d.name}) ⟵ 0;2×{d.name}"),
+        Description(odd_of(chan(d)), affine_of(2, 1, chan(d)),
+                    name=f"odd({d.name}) ⟵ 2×{d.name}+1"),
+    ]
 
 
 def brock_a_descriptions(b: Channel, c: Channel) -> list[Description]:

@@ -17,7 +17,7 @@ internal nondeterminism the trace set must not expose.
 The operational agent optionally bounds consecutive drops (a *fair*
 lossy channel) — the standard assumption under which retransmission
 protocols such as alternating-bit achieve reliable delivery; see
-``examples/alternating_bit.py``.
+:mod:`repro.processes.alternating_bit`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ from repro.core.solver import (
     rhs_guided_candidates,
 )
 from repro.functions.base import LambdaFn, chan, const_seq
-from repro.functions.seq_fns import even_of, odd_of, scale_of
+from repro.functions.seq_fns import even_of, scale_of
+from repro.processes.merge import dfm_descriptions
 from repro.seq.finite import FiniteSeq
 from repro.seq.ordering import SEQ_CPO
 from repro.traces.trace import Trace
@@ -32,10 +33,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def solver(compiled, **kw):

@@ -12,6 +12,7 @@ from repro.core.description import (
 )
 from repro.functions.base import chan, const_seq
 from repro.functions.seq_fns import even_of, odd_of, prepend_of
+from repro.processes.merge import dfm_descriptions
 from repro.seq.finite import fseq
 from repro.traces.trace import Trace
 
@@ -25,10 +26,7 @@ def t_of(*pairs):
 
 
 def dfm_description():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 class TestLimitCondition:

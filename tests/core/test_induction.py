@@ -10,7 +10,8 @@ from repro.core.induction import (
 )
 from repro.core.solver import SmoothSolutionSolver
 from repro.functions.base import chan, const_seq
-from repro.functions.seq_fns import even_of, odd_of, prepend_of
+from repro.functions.seq_fns import prepend_of
+from repro.processes.merge import dfm_descriptions
 from repro.seq.finite import fseq
 from repro.traces.trace import Trace
 
@@ -20,10 +21,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def outputs_justified(t: Trace) -> bool:

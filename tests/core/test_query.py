@@ -11,11 +11,10 @@ mini-language are pinned here.
 import pytest
 
 from repro.channels.channel import Channel
-from repro.core.description import Description, combine
+from repro.core.description import combine
 from repro.core.search import parse_predicate
 from repro.core.solver import SmoothSolutionSolver, solve_query
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
+from repro.processes.merge import dfm_descriptions
 from repro.traces.trace import Trace
 
 B = Channel("b", alphabet={0, 2})
@@ -24,10 +23,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def dfm_solver(**kwargs) -> SmoothSolutionSolver:

@@ -24,8 +24,7 @@ from repro.core.solver import (
     _dedup,
     alphabet_candidates,
 )
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
+from repro.processes.merge import dfm_descriptions
 
 B = Channel("b", alphabet={0, 2})
 C = Channel("c", alphabet={1, 3})
@@ -36,10 +35,7 @@ HEURISTICS = ("depth", "rhs-distance", "channel-balance")
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def dfm_solver(**kwargs) -> SmoothSolutionSolver:

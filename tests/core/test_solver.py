@@ -11,13 +11,9 @@ from repro.core.solver import (
     solve,
 )
 from repro.functions.base import chan, const_seq
-from repro.functions.seq_fns import (
-    affine_of,
-    even_of,
-    odd_of,
-    prepend_of,
-    scale_of,
-)
+from repro.functions.seq_fns import prepend_of
+from repro.processes.deterministic import doubling_descriptions
+from repro.processes.merge import dfm_descriptions
 from repro.seq.finite import fseq
 from repro.traces.trace import Trace
 
@@ -27,10 +23,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 class TestCandidates:
@@ -178,11 +171,7 @@ class TestRhsGuidedCandidates:
         # §2.3's network: even(d) ⟵ 0;2×d, odd(d) ⟵ 2×d+1 on an
         # unbounded alphabet; candidates come from the right side.
         d = Channel("d")
-        desc = combine([
-            Description(even_of(chan(d)),
-                        prepend_of(0, scale_of(2, chan(d)))),
-            Description(odd_of(chan(d)), affine_of(2, 1, chan(d))),
-        ], name="fig3")
+        desc = combine(doubling_descriptions(d), name="fig3")
         candidates = rhs_guided_candidates([d], desc)
         solver = SmoothSolutionSolver(desc, candidates)
         result = solver.explore(max_depth=4)
@@ -195,11 +184,7 @@ class TestRhsGuidedCandidates:
 
     def test_guided_candidates_are_finite(self):
         d = Channel("d")
-        desc = combine([
-            Description(even_of(chan(d)),
-                        prepend_of(0, scale_of(2, chan(d)))),
-            Description(odd_of(chan(d)), affine_of(2, 1, chan(d))),
-        ])
+        desc = combine(doubling_descriptions(d))
         candidates = rhs_guided_candidates([d], desc)
         events = list(candidates(Trace.empty()))
         assert len(events) < 20

@@ -13,8 +13,7 @@ algorithm, spelled out below) that the result digest is unchanged.
 from repro.channels.channel import Channel
 from repro.core.description import Description, combine
 from repro.core.solver import SmoothSolutionSolver, SolverResult
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
+from repro.processes.merge import dfm_descriptions
 from repro.traces.trace import Trace
 
 B = Channel("b", alphabet={0, 2})
@@ -52,10 +51,7 @@ class CountingDescription(Description):
 
 
 def counting_dfm():
-    base = combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    base = combine(dfm_descriptions(B, C, D), name="dfm")
     return CountingDescription(CountingFn(base.lhs),
                                CountingFn(base.rhs), name=base.name)
 
@@ -321,10 +317,8 @@ class TestOrderMatchesNaiveReference:
         for depth in range(0, 6):
             for compiled in (False, None):
                 solver = SmoothSolutionSolver.over_channels(
-                    combine([
-                        Description(even_of(chan(D)), chan(B)),
-                        Description(odd_of(chan(D)), chan(C)),
-                    ], name="dfm"), [B, C, D], compiled=compiled)
+                    combine(dfm_descriptions(B, C, D), name="dfm"),
+                    [B, C, D], compiled=compiled)
                 fast = solver.explore(depth).to_payload()
                 slow = naive_explore(solver, depth).to_payload()
                 for bucket in buckets:

@@ -15,11 +15,10 @@ import pytest
 from repro import par
 from repro.cache.store import CacheStore
 from repro.channels.channel import Channel
-from repro.core.description import Description, combine
+from repro.core.description import combine
 from repro.faults.harness import run_conformance
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
 from repro.kahn.agents import dfm_agent, source_agent
+from repro.processes.merge import dfm_descriptions
 
 B = Channel("b", alphabet={0, 2})
 C = Channel("c", alphabet={1, 3})
@@ -27,10 +26,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm_grid_inputs():
-    spec = combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    spec = combine(dfm_descriptions(B, C, D), name="dfm")
     agents = {"eb": lambda: source_agent(B, [0, 2, 0, 2]),
               "dfm": lambda: dfm_agent(B, C, D)}
     plans = {"none": lambda: None}

@@ -1,8 +1,9 @@
 """Conformance harness: fault grids × seeds against a specification.
 
 Uses a miniature stop-and-wait protocol (a two-message alternating-bit
-core) so the test is self-contained; the full ABP scenario lives in
-``examples/alternating_bit.py`` and ``benchmarks/bench_fault_injection``.
+core over its own alphabet) so the test is self-contained; the full
+ABP network lives in ``repro.processes.alternating_bit``, and its grid
+is the registry's ``alternating_bit`` scenario.
 """
 
 import pytest

@@ -78,20 +78,25 @@ class TestProtocol:
     def test_give_up_bound_respected(self):
         # with a tiny retransmit limit and hostile drops the sender
         # may give up — and then the spec correctly fails
-        from alternating_bit import receiver, sender
+        from repro.processes.alternating_bit import (
+            C2R,
+            C2S,
+            R2C,
+            receiver,
+            sender,
+        )
         from repro.processes.lossy import lossy_agent
-        from alternating_bit import C2R, C2S, R2C
 
         def fragile_network():
             return {
-                "sender": sender(MESSAGES, retransmit_limit=0),
+                "sender": sender(MESSAGES, S2C, C2S, retransmit_limit=0),
                 "data-channel": lossy_agent(
                     S2C, C2R, max_consecutive_drops=None
                 ),
                 "ack-channel": lossy_agent(
                     R2C, C2S, max_consecutive_drops=None
                 ),
-                "receiver": receiver(),
+                "receiver": receiver(C2R, R2C),
             }
 
         outcomes = set()

@@ -17,16 +17,14 @@ from repro.channels.channel import Channel
 from repro.channels.event import Event
 from repro.core.description import Description, DescriptionSystem, combine
 from repro.core.elimination import eliminate_channels
-from repro.functions.base import chan
-from repro.functions.seq_fns import (
-    affine_of,
-    even_of,
-    odd_of,
-    prepend_of,
-    scale_of,
-)
 from repro.kahn.agents import affine_agent, dfm_agent, doubler_agent
 from repro.kahn.scheduler import ScriptedOracle, run_network
+from repro.processes.deterministic import (
+    affine_description,
+    doubler_description,
+    doubling_descriptions,
+)
+from repro.processes.merge import dfm_descriptions
 from repro.seq.builders import misra_x, misra_y, misra_z
 from repro.seq.finite import Seq
 from repro.traces.trace import Trace
@@ -34,12 +32,8 @@ from repro.traces.trace import Trace
 D = Channel("d")
 
 
-def network_description() -> "Description":
-    return combine([
-        Description(even_of(chan(D)),
-                    prepend_of(0, scale_of(2, chan(D)))),
-        Description(odd_of(chan(D)), affine_of(2, 1, chan(D))),
-    ], name="fig3")
+def network_description() -> Description:
+    return combine(doubling_descriptions(D), name="fig3")
 
 
 def d_trace(seq: Seq, name: str = "") -> Trace:
@@ -98,13 +92,8 @@ class TestDerivedFromFullSystem:
         b = Channel("b_fig3")
         c = Channel("c_fig3")
         full = DescriptionSystem(
-            [
-                Description(chan(b),
-                            prepend_of(0, scale_of(2, chan(D)))),
-                Description(chan(c), affine_of(2, 1, chan(D))),
-                Description(even_of(chan(D)), chan(b)),
-                Description(odd_of(chan(D)), chan(c)),
-            ],
+            [doubler_description(D, b), affine_description(D, c),
+             *dfm_descriptions(b, c, D)],
             channels=[b, c, D], name="fig3-full",
         )
         derived = eliminate_channels(full, [b, c])

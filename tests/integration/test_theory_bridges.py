@@ -9,9 +9,7 @@
 
 from repro.channels.channel import Channel
 from repro.core.chains import GeneralDescription
-from repro.core.description import Description, combine
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
+from repro.core.description import combine
 from repro.kahn.agents import (
     finite_ticks_agent,
     random_number_agent,
@@ -20,6 +18,7 @@ from repro.kahn.agents import (
 from repro.kahn.scheduler import RandomOracle, run_network
 from repro.order.cpo import CountableChain
 from repro.processes import finite_ticks, random_number
+from repro.processes.merge import dfm_descriptions
 from repro.traces.domain import TraceCpo
 from repro.traces.trace import Trace
 
@@ -32,10 +31,7 @@ class TestSection6Note:
     """The chain-based definition restricted to traces = the §3.2.2 one."""
 
     def _both_verdicts(self, t: Trace):
-        desc = combine([
-            Description(even_of(chan(D)), chan(B)),
-            Description(odd_of(chan(D)), chan(C)),
-        ], name="dfm")
+        desc = combine(dfm_descriptions(B, C, D), name="dfm")
         # §3.2.2 (trace) definition:
         trace_level = desc.is_smooth_solution(t)
         # §6 (chain) definition, witnessed by the prefix chain:

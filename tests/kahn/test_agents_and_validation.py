@@ -2,9 +2,7 @@
 solutions cross-validation."""
 
 from repro.channels.channel import Channel
-from repro.core.description import Description, DescriptionSystem, combine
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
+from repro.core.description import DescriptionSystem, combine
 from repro.kahn.agents import (
     brock_a_agent,
     brock_b_agent,
@@ -21,6 +19,7 @@ from repro.kahn.agents import (
     source_agent,
     ticks_agent,
 )
+from repro.kahn.effects import RecvAny, Send
 from repro.kahn.quiescence import collect_traces, describe_run, quiescent_traces
 from repro.kahn.scheduler import (
     RandomOracle,
@@ -33,6 +32,7 @@ from repro.kahn.validate import (
     check_operational_soundness,
 )
 from repro.processes.deterministic import copy_description
+from repro.processes.merge import dfm_descriptions
 from repro.traces.trace import Trace
 
 B = Channel("b", alphabet={0, 2, 4})
@@ -41,10 +41,7 @@ D = Channel("d", alphabet={0, 1, 2, 3, 4, 5})
 
 
 def dfm_description():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def dfm_network():
@@ -200,6 +197,15 @@ class TestCrossValidation:
         # all three interleavings of ⟨0 2⟩ and ⟨1⟩ occur
         assert outputs == {(0, 2, 1), (0, 1, 2), (1, 0, 2)}
 
+    def test_sample_buckets(self):
+        # every run lands in exactly one bucket, and the DFM network
+        # with finite sources always reaches quiescence
+        sample = collect_traces(dfm_network, [B, C, D],
+                                seeds=range(6), max_steps=100)
+        assert sample.runs == 6
+        assert len(sample.quiescent) + len(sample.prefixes) == 6
+        assert sample.quiescent
+
     def test_prefix_histories_satisfy_smoothness(self):
         report = check_operational_soundness(
             dfm_network, [B, C, D], dfm_description(),
@@ -207,6 +213,21 @@ class TestCrossValidation:
         )
         assert report.all_agree
         assert report.prefixes_checked > 0
+
+    def test_broken_machine_flagged(self):
+        def broken_dfm():
+            # emits a constant before any input: causality violation
+            yield Send(D, 0)
+            while True:
+                _, message = yield RecvAny((B, C))
+                yield Send(D, message)
+
+        report = check_operational_soundness(
+            lambda: {"envb": source_agent(B, [0]), "dfm": broken_dfm()},
+            [B, C, D], dfm_description(), seeds=range(5), max_steps=60,
+        )
+        assert not report.all_agree
+        assert report.failures
 
     def test_completeness_checker_flags_missing(self):
         ghost = Trace.from_pairs([(B, 4), (D, 4)])

@@ -8,10 +8,8 @@ quiescent traces *equals* the set of finite smooth solutions.
 import pytest
 
 from repro.channels.channel import Channel
-from repro.core.description import Description, combine
+from repro.core.description import combine
 from repro.core.solver import solve
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
 from repro.kahn.agents import (
     brock_a_agent,
     brock_b_agent,
@@ -23,6 +21,7 @@ from repro.kahn.explore import (
     exhaustive_quiescent_traces,
     explore_schedules,
 )
+from repro.processes.merge import dfm_descriptions
 from repro.seq.finite import fseq
 from repro.traces.trace import Trace
 
@@ -32,10 +31,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm_description():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def dfm_network():

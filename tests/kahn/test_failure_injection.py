@@ -8,13 +8,12 @@ of violation (limit vs. smoothness) the paper's conditions predict.
 """
 
 from repro.channels.channel import Channel
-from repro.core.description import Description, combine
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
+from repro.core.description import combine
 from repro.kahn.effects import Recv, RecvAny, Send
 from repro.kahn.quiescence import collect_traces
 from repro.kahn.agents import source_agent
 from repro.processes.deterministic import copy_description
+from repro.processes.merge import dfm_descriptions
 
 B = Channel("b", alphabet={0, 2, 4})
 C = Channel("c", alphabet={1, 3, 5})
@@ -22,10 +21,7 @@ D = Channel("d", alphabet={0, 1, 2, 3, 4, 5})
 
 
 def dfm_description():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 # -- broken merge implementations -------------------------------------------

@@ -203,8 +203,7 @@ def test_split_cells_strips_suffix_and_groups():
 def _traced_cell(task):
     from repro.par import _cell_worker
 
-    case, records, _ = _cell_worker(task)
-    return case, records
+    return _cell_worker(task)
 
 
 def test_parallel_cell_graph_equals_serial():

@@ -4,7 +4,7 @@ events, and metrics the observability layer promises."""
 import pytest
 
 from repro.channels import Channel
-from repro.core import Description, SmoothSolutionSolver, combine
+from repro.core import SmoothSolutionSolver, combine
 from repro.faults import (
     DropFault,
     FaultPlan,
@@ -12,11 +12,11 @@ from repro.faults import (
     run_conformance,
     run_supervised,
 )
-from repro.functions import chan, even_of, odd_of
 from repro.kahn.agents import dfm_agent, source_agent
 from repro.kahn.effects import Recv, Send
 from repro.kahn.scheduler import RandomOracle, run_network
 from repro.obs import RingBufferSink, Tracer
+from repro.processes.merge import dfm_descriptions
 
 B = Channel("b", alphabet={0, 2})
 C = Channel("c", alphabet={1, 3})
@@ -24,10 +24,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def make_tracer():
@@ -200,10 +197,7 @@ class TestFaultInstrumentation:
 
 class TestHarnessInstrumentation:
     def grid_args(self):
-        spec = combine([
-            Description(even_of(chan(D)), chan(B)),
-            Description(odd_of(chan(D)), chan(C)),
-        ], name="dfm")
+        spec = combine(dfm_descriptions(B, C, D), name="dfm")
         agents = {"eb": lambda: source_agent(B, [0]),
                   "dfm": lambda: dfm_agent(B, C, D)}
         return agents, spec

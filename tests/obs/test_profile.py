@@ -15,7 +15,6 @@ import pytest
 from repro.cache import CacheStore
 from repro.channels import Channel
 from repro.core import Description, SmoothSolutionSolver, combine
-from repro.functions import chan, even_of, odd_of
 from repro.obs import (
     NULL_TRACER,
     RingBufferSink,
@@ -48,10 +47,7 @@ class _CountingFn:
 
 
 def counting_dfm():
-    base = combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    base = combine(merge.dfm_descriptions(B, C, D), name="dfm")
     return Description(_CountingFn(base.lhs), _CountingFn(base.rhs),
                        name=base.name)
 
@@ -413,10 +409,7 @@ class TestProfileEngineParity:
 
     @staticmethod
     def profile(compiled, strategy, dedup, max_nodes):
-        desc = combine([
-            Description(even_of(chan(D)), chan(B)),
-            Description(odd_of(chan(D)), chan(C)),
-        ], name="dfm")
+        desc = combine(merge.dfm_descriptions(B, C, D), name="dfm")
         solver = SmoothSolutionSolver.over_channels(
             desc, [B, C, D], compiled=compiled, strategy=strategy,
             dedup=dedup, tracer=Tracer([RingBufferSink(capacity=100_000)]))

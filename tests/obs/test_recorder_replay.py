@@ -25,7 +25,6 @@ from repro.faults import (
 )
 from repro.functions import chan
 from repro.functions.base import const_seq
-from repro.functions.seq_fns import even_of, odd_of
 from repro.kahn.agents import dfm_agent, source_agent
 from repro.kahn.effects import Poll, Recv, Send
 from repro.kahn.scheduler import (
@@ -44,6 +43,7 @@ from repro.obs import (
     replay_network,
     replay_supervised,
 )
+from repro.processes.merge import dfm_descriptions
 from repro.seq import FiniteSeq
 from repro.traces.trace import Trace
 
@@ -58,10 +58,7 @@ def dfm_agents():
 
 
 def dfm_desc():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 def drop_plan(seed=5):

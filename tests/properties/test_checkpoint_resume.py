@@ -8,43 +8,30 @@ digest-identical to the run that never truncated — for every budget,
 including ones that cut a BFS level in half.
 """
 
-import pathlib
-import sys
-
 import pytest
 
+from repro import par
 from repro.cache.checkpoint import SolverCheckpoint
-from repro.channels.channel import Channel
-from repro.core.description import Description, combine
 from repro.core.solver import SmoothSolutionSolver
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
-
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent.parent
-           / "examples")
-)
-
-B = Channel("b", alphabet={0, 2})
-C = Channel("c", alphabet={1, 3})
-D = Channel("d", alphabet={0, 1, 2, 3})
+from repro.processes.alternating_bit import MESSAGES
 
 DFM_DEPTH = 4
 
 
-def dfm_solver() -> SmoothSolutionSolver:
-    desc = combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
-    return SmoothSolutionSolver.over_channels(desc, [B, C, D])
+def solver_for(scenario: str, **kwargs) -> SmoothSolutionSolver:
+    """The registered scenario's spec over the channels ``solve``
+    explores it on."""
+    sc = par.get_scenario(scenario)
+    return SmoothSolutionSolver.over_channels(
+        sc.spec, sc.solve_channels, **kwargs)
+
+
+def dfm_solver(**kwargs) -> SmoothSolutionSolver:
+    return solver_for("dfm", **kwargs)
 
 
 def abp_solver() -> SmoothSolutionSolver:
-    from alternating_bit import MESSAGES, OUT, service_spec
-
-    spec = service_spec(MESSAGES).combined()
-    return SmoothSolutionSolver.over_channels(spec, [OUT])
+    return solver_for("alternating_bit")
 
 
 class TestDfmResume:
@@ -123,8 +110,6 @@ class TestDfmResume:
 
 class TestAlternatingBitResume:
     def depth(self) -> int:
-        from alternating_bit import MESSAGES
-
         return len(MESSAGES) + 1
 
     # the ABP service tree is a single chain (4 nodes to the bound),
@@ -159,9 +144,7 @@ class TestPerStrategyResume:
         straight = dfm_solver().explore(DFM_DEPTH)
 
         def solver():
-            return SmoothSolutionSolver.over_channels(
-                dfm_solver().description, [B, C, D],
-                strategy=strategy)
+            return dfm_solver(strategy=strategy)
 
         partial = solver().explore(DFM_DEPTH, max_nodes=budget)
         assert partial.truncated
@@ -173,9 +156,7 @@ class TestPerStrategyResume:
         assert resumed.nodes_explored == straight.nodes_explored
 
     def test_deepening_meta_survives_json_round_trip(self):
-        solver = SmoothSolutionSolver.over_channels(
-            dfm_solver().description, [B, C, D],
-            strategy="iterative-deepening")
+        solver = dfm_solver(strategy="iterative-deepening")
         partial = solver.explore(DFM_DEPTH, max_nodes=100)
         assert partial.truncated
         doc = partial.checkpoint().to_dict()
@@ -189,9 +170,7 @@ class TestPerStrategyResume:
     def test_meta_stays_out_of_the_checkpoint_digest(self):
         # two checkpoints of the same parked set must stay
         # digest-comparable even though one carries strategy meta
-        solver = SmoothSolutionSolver.over_channels(
-            dfm_solver().description, [B, C, D],
-            strategy="iterative-deepening")
+        solver = dfm_solver(strategy="iterative-deepening")
         partial = solver.explore(DFM_DEPTH, max_nodes=100)
         ckpt = partial.checkpoint()
         stripped = SolverCheckpoint.from_dict(ckpt.to_dict())
@@ -253,9 +232,7 @@ class TestMultiDepthResume:
         depth = 5
 
         def solver(strategy):
-            return SmoothSolutionSolver.over_channels(
-                dfm_solver().description, [B, C, D],
-                compiled=compiled, strategy=strategy)
+            return dfm_solver(compiled=compiled, strategy=strategy)
 
         straight = solver("bfs").explore(depth)
         first = solver("best-first").explore(depth, max_nodes=60)

@@ -10,6 +10,7 @@ from repro.core.description import Description, combine
 from repro.core.solver import SmoothSolutionSolver
 from repro.functions.base import chan
 from repro.functions.seq_fns import even_of, odd_of
+from repro.processes.merge import dfm_descriptions
 from repro.traces.trace import Trace
 
 B = Channel("b", alphabet={0, 2})
@@ -23,10 +24,7 @@ traces = st.lists(st.sampled_from(EVENTS), max_size=7).map(Trace.finite)
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 class TestLemma2Property:

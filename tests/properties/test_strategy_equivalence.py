@@ -10,47 +10,24 @@ dedup, on both registered scenarios:
 * queries agree with enumerate-then-filter under every configuration.
 """
 
-import pathlib
-import sys
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import par
 from repro.cache.checkpoint import SolverCheckpoint
-from repro.channels.channel import Channel
-from repro.core.description import Description, combine
 from repro.core.search import parse_predicate
 from repro.core.solver import SmoothSolutionSolver
-from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent.parent
-           / "examples")
-)
-
-B = Channel("b", alphabet={0, 2})
-C = Channel("c", alphabet={1, 3})
-D = Channel("d", alphabet={0, 1, 2, 3})
+SCENARIOS = ("alternating_bit", "dfm")
 
 
-def dfm_solver(**kwargs) -> SmoothSolutionSolver:
-    desc = combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
-    return SmoothSolutionSolver.over_channels(desc, [B, C, D],
-                                              **kwargs)
+def solver_for(scenario: str, **kwargs) -> SmoothSolutionSolver:
+    """The registered scenario's spec over the channels ``solve``
+    explores it on."""
+    sc = par.get_scenario(scenario)
+    return SmoothSolutionSolver.over_channels(
+        sc.spec, sc.solve_channels, **kwargs)
 
-
-def abp_solver(**kwargs) -> SmoothSolutionSolver:
-    from alternating_bit import MESSAGES, OUT, service_spec
-
-    spec = service_spec(MESSAGES).combined()
-    return SmoothSolutionSolver.over_channels(spec, [OUT], **kwargs)
-
-
-SCENARIOS = {"dfm": dfm_solver, "alternating_bit": abp_solver}
 
 configs = st.fixed_dictionaries({
     "strategy": st.sampled_from(
@@ -64,16 +41,15 @@ configs = st.fixed_dictionaries({
 
 class TestSolutionSetDigests:
     @settings(max_examples=25, deadline=None)
-    @given(scenario=st.sampled_from(sorted(SCENARIOS)),
+    @given(scenario=st.sampled_from(SCENARIOS),
            depth=st.integers(0, 5), config=configs)
     def test_every_strategy_matches_bfs(self, scenario, depth,
                                         config):
         if scenario == "alternating_bit":
             depth = min(depth, 4)  # the service tree is one chain
-        make = SCENARIOS[scenario]
-        base = make().explore(depth)
+        base = solver_for(scenario).explore(depth)
         assert not base.truncated
-        got = make(**config).explore(depth)
+        got = solver_for(scenario, **config).explore(depth)
         assert got.digest() == base.digest()
         assert got.nodes_explored == base.nodes_explored
 
@@ -82,14 +58,14 @@ class TestTruncateThenResumePerStrategy:
     @settings(max_examples=25, deadline=None)
     @given(budget=st.integers(1, 300), config=configs)
     def test_resume_digest_equals_straight_run(self, budget, config):
-        straight = dfm_solver().explore(4)
-        partial = dfm_solver(**config).explore(4, max_nodes=budget)
+        straight = solver_for("dfm").explore(4)
+        partial = solver_for("dfm", **config).explore(4, max_nodes=budget)
         if not partial.truncated:
             assert partial.digest() == straight.digest()
             return
         ckpt = SolverCheckpoint.from_json(
             partial.checkpoint().to_json())
-        resumed = dfm_solver(**config).explore(4, resume_from=ckpt)
+        resumed = solver_for("dfm", **config).explore(4, resume_from=ckpt)
         assert not resumed.truncated
         assert resumed.digest() == straight.digest()
         assert resumed.nodes_explored == straight.nodes_explored
@@ -97,7 +73,7 @@ class TestTruncateThenResumePerStrategy:
 
 class TestQueryAgreement:
     @settings(max_examples=25, deadline=None)
-    @given(scenario=st.sampled_from(sorted(SCENARIOS)),
+    @given(scenario=st.sampled_from(SCENARIOS),
            text=st.sampled_from(
                ("true", "length >= 2", "on:b >= 1", "on:out >= 1",
                 "length >= 99")),
@@ -106,8 +82,7 @@ class TestQueryAgreement:
     def test_query_equals_enumerate_then_filter(self, scenario, text,
                                                 mode, config):
         depth = 4
-        make = SCENARIOS[scenario]
-        enumerated = make().explore(depth)
+        enumerated = solver_for(scenario).explore(depth)
         assert not enumerated.truncated
         pred = parse_predicate(text)
         matching = [t for t in enumerated.finite_solutions
@@ -115,5 +90,6 @@ class TestQueryAgreement:
         expected = (bool(matching) if mode == "exists"
                     else len(matching)
                     == len(enumerated.finite_solutions))
-        answer = make(**config).query(text, depth, mode=mode)
+        answer = solver_for(scenario, **config).query(text, depth,
+                                                      mode=mode)
         assert answer.holds is expected

@@ -2,16 +2,14 @@
 
 from repro.channels.channel import Channel
 from repro.channels.event import Event
-from repro.core.description import Description, combine
+from repro.core.description import combine
 from repro.core.solver import SmoothSolutionSolver
-from repro.functions.base import chan
 from repro.functions.seq_fns import (
     affine_of,
-    even_of,
-    odd_of,
     prepend_of,
     scale_of,
 )
+from repro.processes.merge import dfm_descriptions
 from repro.reasoning.checker import (
     check_progress,
     check_progress_on_quiescent,
@@ -34,10 +32,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 class TestSafetyChecking:

@@ -19,7 +19,6 @@ from repro.core.description import Description, combine
 from repro.core.induction import PremiseFailure, check_premises_on_tree
 from repro.core.solver import SmoothSolutionSolver
 from repro.functions.base import OpFn, chan
-from repro.functions.seq_fns import even_of, odd_of
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.processes import fork, implication, lossy, merge, random_bit
@@ -167,10 +166,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm_solver(**kwargs) -> SmoothSolutionSolver:
-    desc = combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    desc = combine(merge.dfm_descriptions(B, C, D), name="dfm")
     return SmoothSolutionSolver.over_channels(desc, [B, C, D], **kwargs)
 
 

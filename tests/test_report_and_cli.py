@@ -7,9 +7,10 @@ from repro.channels.event import Event
 from repro.core.description import Description, DescriptionSystem, combine
 from repro.core.solver import solve
 from repro.functions.base import chan
-from repro.functions.seq_fns import even_of, odd_of
+from repro.functions.seq_fns import even_of
 from repro.kahn.agents import dfm_agent, source_agent
 from repro.kahn.scheduler import RandomOracle, run_network
+from repro.processes.merge import dfm_descriptions
 from repro.report import (
     render_description,
     render_metrics,
@@ -31,10 +32,7 @@ D = Channel("d", alphabet={0, 1, 2, 3})
 
 
 def dfm():
-    return combine([
-        Description(even_of(chan(D)), chan(B)),
-        Description(odd_of(chan(D)), chan(C)),
-    ], name="dfm")
+    return combine(dfm_descriptions(B, C, D), name="dfm")
 
 
 class TestRenderers:
