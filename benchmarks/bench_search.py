@@ -20,6 +20,7 @@ from conftest import banner, row
 
 from repro.channels.channel import Channel
 from repro.core.description import combine
+from repro.core.search import parse_predicate
 from repro.core.solver import SmoothSolutionSolver
 from repro.processes.merge import dfm_descriptions
 
@@ -131,6 +132,40 @@ def test_query_answers_where_enumeration_truncates(benchmark):
         f"query explored {ratio:.1%} of the enumeration's nodes; "
         f"ceiling is {MAX_NODE_RATIO:.0%}")
     assert speedup >= 1.0
+
+
+def test_state_graph_full_enumeration():
+    """A question only a full enumeration settles, asked both ways:
+    the tree walk expands every node of dfm's depth-6 tree, the
+    projection-state graph each per-channel projection state once.
+    Both answer as enumerate-then-filter does.  The rows are
+    untracked: the counts are pinned by the tests, and the time ratio
+    is one more wall-clock reading."""
+    depth, text = 6, "length <= 6"
+    predicate = parse_predicate(text)
+    tree, tree_s = _best_of(
+        lambda: _solver(strategy="best-first").query(
+            lambda t: predicate(t), depth, mode="all"), repeats=3)
+    graph, graph_s = _best_of(
+        lambda: _solver(strategy="best-first").query(
+            text, depth, mode="all"), repeats=3)
+    expected = all(predicate(t) for t in _solver().explore(
+        depth).finite_solutions)
+    assert tree.meta["graph"] == "tree"
+    assert graph.meta["graph"] == "states"
+    assert tree.holds is graph.holds is expected
+    assert not tree.meta["short_circuited"]
+    assert not graph.meta["short_circuited"]
+    assert graph.nodes_explored < tree.nodes_explored
+    banner("EXT-SEARCH",
+           "a full-enumeration query expands each projection state "
+           "once")
+    row("question", f"all {text!r}, depth {depth}")
+    row("tree nodes (tree walk)", tree.nodes_explored)
+    row("projection states explored", graph.nodes_explored)
+    row("state-graph ms", round(graph_s * 1e3, 2))
+    row("tree-walk ms", round(tree_s * 1e3, 2))
+    row("state-graph speedup", round(tree_s / graph_s, 2))
 
 
 def test_dedup_counters_and_strategy_metrics():

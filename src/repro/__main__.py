@@ -986,6 +986,10 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
     answers under a node budget where ``solve`` truncates.  Exit
     codes: 0 the question holds, 1 it does not, 2 unresolved at this
     budget (or bad arguments, e.g. a predicate's unknown channel).
+    Under ``bfs`` and ``best-first`` the search expands each
+    per-channel projection state once and reports ``projection states
+    explored`` (see :meth:`~repro.core.solver.SmoothSolutionSolver
+    .query`); ``--dedup`` matters only under ``iterative-deepening``.
 
     ``--witness-out`` writes the settling trace's replayable schedule
     JSON (the same format ``replay`` understands for solver paths).
@@ -1015,7 +1019,7 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
             raise ValueError(f"unknown channel {', '.join(unknown)} in "
                              f"the predicate; {scenario} is solved over "
                              f"{', '.join(names)}")
-        answer = solver.query(predicate, depth, mode=mode,
+        answer = solver.query(text, depth, mode=mode,
                               max_nodes=max_nodes,
                               budget_seconds=budget_seconds)
     except ValueError as exc:
@@ -1378,7 +1382,10 @@ def main(argv: list[str] | None = None) -> int:
         help="best-first ranking (default rhs-distance)")
     p_query.add_argument(
         "--dedup", action="store_true",
-        help="duplicate-state reduction (see solve --dedup)")
+        help="duplicate-state reduction (see solve --dedup); matters "
+             "only under iterative-deepening, since bfs and "
+             "best-first queries already expand each per-channel "
+             "projection state once")
     p_query.add_argument(
         "--witness-out", default=None, metavar="PATH",
         help="write the witness/counterexample schedule JSON here")

@@ -253,7 +253,10 @@ class QueryResult:
     (:meth:`SmoothSolutionSolver.witness_schedule`) when one exists.
     ``result`` is the underlying (possibly early-exited)
     :class:`SolverResult` — its ``truncation_reason`` starts with
-    ``"query:"`` when the search short-circuited.
+    ``"query:"`` when the search short-circuited.  ``meta["graph"]``
+    is ``"states"`` when the search walked the projection-state graph
+    (then ``nodes_explored`` counts the states it expanded) and
+    ``"tree"`` otherwise.
     """
 
     mode: str
@@ -273,8 +276,10 @@ class QueryResult:
     def describe(self) -> str:
         verdict = {True: "holds", False: "does not hold",
                    None: "unresolved (budget exhausted)"}[self.holds]
+        unit = ("projection states" if self.meta.get("graph") == "states"
+                else "nodes")
         lines = [f"query [{self.mode}] {self.predicate}: {verdict}",
-                 f"  nodes explored: {self.nodes_explored} "
+                 f"  {unit} explored: {self.nodes_explored} "
                  f"(strategy {self.strategy})"]
         if self.witness is not None:
             label = ("witness" if self.mode == "exists"

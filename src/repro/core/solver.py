@@ -449,7 +449,9 @@ class SmoothSolutionSolver:
         the clock fires is not a function of the inputs — and a
         ``_watch`` publishing ``every_node`` (see
         :meth:`_explore_ordered`) skips the cache: a hit would skip
-        every node it must see.
+        every node it must see.  A ``_watch`` publishing
+        ``state_graph`` (see :meth:`query`) still reads the cache, but
+        its walk over projection states is never written back.
 
         With a tracer attached the exploration additionally emits
         ``solver.*`` spans/events (per-level spans, prune / accept /
@@ -579,14 +581,24 @@ class SmoothSolutionSolver:
         """Seed ``engine``, run the strategy's walk over it inside the
         ``solver.explore`` span, and finish the run.
 
-        Cost attribution and duplicate-state reduction wrap the engine
-        here (:class:`_ProfiledEngine`, :class:`_DedupEngine`), so
-        neither walk carries code for them.
+        Cost attribution, duplicate-state reduction and the
+        projection-state graph wrap the engine here
+        (:class:`_ProfiledEngine`, :class:`_DedupEngine`,
+        :class:`_StateGraphEngine`), so neither walk carries code for
+        them.  A watch publishing ``state_graph = True`` (see
+        :meth:`query`) asks for the state graph; the result then holds
+        one trace per projection state and says so in
+        ``strategy_meta["graph"]``, which keeps it out of the cache.
         """
         tracer = self.tracer
+        states = _state_graph(run)
         if run.metrics is not None:
             engine = _ProfiledEngine(engine, run.metrics, tracer)
-        if self.dedup:
+        if states:
+            # dedup's memo could never hit: each state is expanded once
+            engine = _StateGraphEngine(engine, run.metrics)
+            result.strategy_meta["graph"] = "states"
+        elif self.dedup:
             engine = _DedupEngine(engine, run.metrics)
         checkpoint, seeds = self._seeds(engine, result, run)
         with tracer.span("solver.explore", category="solver",
@@ -628,7 +640,8 @@ class SmoothSolutionSolver:
                               engine.seed, Trace.empty())
             return None, [(0, node, fu)]
         checkpoint = self._coerce_checkpoint(run.resume_from)
-        self._validate_checkpoint(checkpoint, run.max_depth)
+        self._validate_checkpoint(checkpoint, run.max_depth,
+                                  _state_graph(run))
         for bucket, keys in (
                 (result.finite_solutions, checkpoint.finite_solutions),
                 (result.frontier, checkpoint.frontier),
@@ -706,18 +719,25 @@ class SmoothSolutionSolver:
 
     # -- strategy layer -------------------------------------------------------
 
-    def _require_dedup_eligible(self) -> None:
-        """Duplicate-state reduction keys nodes on their per-channel
-        projections (the paper's ``b(t)``); that key is sound only
-        when both sides are pure functions of those projections.  The
-        compilable expression fragment guarantees it; anything else
-        (subclassed descriptions, opaque lambdas) must refuse loudly
-        rather than dedup unsoundly."""
+    def _projection_factored(self) -> bool:
+        """Do both sides provably factor through the per-channel
+        projections (the paper's ``b(t)``)?  The compilable expression
+        fragment guarantees it; subclassed descriptions and opaque
+        lambdas do not.  Then ``g``, the limit verdict and (with a
+        constant candidate alphabet) the admissible extensions of a
+        node are functions of its projection state."""
         from repro.core.compiled import _leaf_channels
 
-        if type(self.description) is Description \
-                and _leaf_channels(self.description.lhs) is not None \
-                and _leaf_channels(self.description.rhs) is not None:
+        return (type(self.description) is Description
+                and _leaf_channels(self.description.lhs) is not None
+                and _leaf_channels(self.description.rhs) is not None)
+
+    def _require_dedup_eligible(self) -> None:
+        """Duplicate-state reduction keys nodes on their per-channel
+        projections; that key is sound only for a
+        :meth:`_projection_factored` description, so anything else
+        must refuse loudly rather than dedup unsoundly."""
+        if self._projection_factored():
             return
         raise ValueError(
             "dedup=True requires a plain Description whose sides "
@@ -1030,8 +1050,16 @@ class SmoothSolutionSolver:
             "resume_from must be a SolverCheckpoint, its dict form, "
             f"or a path to its JSON (got {type(resume_from).__name__})")
 
-    def _validate_checkpoint(self, checkpoint, max_depth: int) -> None:
-        """A checkpoint only resumes the exploration it snapshot."""
+    def _validate_checkpoint(self, checkpoint, max_depth: int,
+                             states: bool = False) -> None:
+        """A checkpoint only resumes the exploration it snapshot.
+
+        ``states`` says the resuming walk is a projection-state-graph
+        query.  Such a walk may resume any checkpoint a BFS or
+        best-first walk parked: its ``seen`` set starts empty and
+        every state not yet expanded is reachable from a parked node.
+        A tree walk may not resume a state-graph checkpoint, whose
+        buckets hold one trace per state, not every tree node."""
         if checkpoint.depth != max_depth:
             raise ValueError(
                 f"checkpoint was taken at depth {checkpoint.depth}, "
@@ -1058,7 +1086,11 @@ class SmoothSolutionSolver:
                 "checkpoint was parked by an iterative-deepening "
                 f"exploration and must be resumed with it (this "
                 f"solver uses strategy {self.strategy!r})")
-
+        if checkpoint.meta.get("graph") == "states" and not states:
+            raise ValueError(
+                "checkpoint was parked by a query over the "
+                "projection-state graph (one trace per state, not the "
+                "whole §3.3 tree); only such a query may resume it")
 
     def _result_from_payload(self, payload: dict
                              ) -> Optional[SolverResult]:
@@ -1205,7 +1237,32 @@ class SmoothSolutionSolver:
         was settled.  A positive ``exists`` / negative ``all`` answer
         ships the settling trace plus its replayable
         :meth:`witness_schedule` certificate.
+
+        The search walks the projection-state graph instead of the
+        tree (see :class:`_StateGraphEngine`), expanding each
+        per-channel projection state once, when the answer cannot
+        tell the two apart: the predicate is textual (every clause
+        of the grammar reads per-channel projections only; a
+        callable may read event order, so it keeps the tree walk),
+        the strategy is ``bfs`` or ``best-first``, the description is
+        :meth:`_projection_factored` and the candidate generator
+        publishes ``constant_events``.  Wherever the tree walk
+        settles the question, the state graph settles it with the
+        same answer and witness; ``nodes_explored`` then counts
+        states and ``meta["graph"]`` is ``"states"`` (else
+        ``"tree"``).
+        Iterative deepening keeps the tree walk: it re-walks interior
+        nodes, which a visited set would cut off.  ``dedup`` then
+        matters only under iterative deepening.  A state-graph result
+        is never written to the cache (a complete tree result already
+        there still answers), and only a state-graph query resumes
+        its checkpoint.
         """
+        states = (isinstance(predicate, str)
+                  and self.strategy in ("bfs", "best-first")
+                  and self._projection_factored()
+                  and getattr(self.candidates, "constant_events", None)
+                  is not None)
         if isinstance(predicate, str):
             predicate = parse_predicate(predicate)
         if mode not in ("exists", "all"):
@@ -1228,6 +1285,7 @@ class SmoothSolutionSolver:
                     found.append(trace)
                     return "query: counterexample found (all)"
                 return ""
+        watch.state_graph = states
 
         result = self.explore(max_depth, max_nodes=max_nodes,
                               budget_seconds=budget_seconds,
@@ -1254,7 +1312,8 @@ class SmoothSolutionSolver:
             nodes_explored=result.nodes_explored,
             strategy=self.strategy, result=result,
             meta={"short_circuited":
-                  result.truncation_reason.startswith("query")},
+                  result.truncation_reason.startswith("query"),
+                  "graph": result.strategy_meta.get("graph", "tree")},
         )
 
 
@@ -1272,6 +1331,12 @@ class _Run(NamedTuple):
     #: the traced FIFO walk's per-level series (see :class:`_LevelLog`)
     levels: Optional[list]
     cache_key: Optional[dict]
+
+
+def _state_graph(run: _Run) -> bool:
+    """Does this run walk the projection-state graph (see
+    :class:`_StateGraphEngine`)?"""
+    return getattr(run.watch, "state_graph", False)
 
 
 def _budget_reason(session: int, run: _Run, depth: int) -> str:
@@ -1685,6 +1750,74 @@ class _DedupEngine:
             entry["edges"] = kids
         return kids
 
+
+class _StateGraphEngine:
+    """The projection-state graph around an engine (``query`` only).
+
+    When ``g``, the limit verdict and the admissible extensions of a
+    node depend on its per-channel projection alone (the paper's
+    ``b(t)``, the engine's ``env_key``), the §3.3 tree is the
+    unfolding of a graph of projection states.  This wrapper remembers
+    the key of every node it hands out — seeds and admitted children
+    — and drops an admitted child whose state it has handed out
+    already, so each state is expanded once, by the first node the
+    walk's order reaches it with.  That node's parent was itself the
+    first of its state, so its trace is a tree path that
+    :meth:`SmoothSolutionSolver.replay_witness` replays, and under
+    ``bfs`` and ``best-first`` the walk pops the first nodes of the
+    tree walk's states in the tree walk's order.  A keyless node
+    (``env_key`` is ``None``) always passes.  Traced runs count the
+    dropped children as ``solver.states.revisits``.
+    """
+
+    __slots__ = ("inner", "key", "seen", "metrics")
+
+    def __init__(self, inner, metrics: Optional[MetricsRegistry]) -> None:
+        self.inner = inner
+        self.key = inner.env_key
+        self.seen: set = set()
+        self.metrics = metrics
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+    def seed(self, trace: Trace) -> tuple:
+        node, fu = self.inner.seed(trace)
+        key = self.key(node)
+        if key is not None:
+            self.seen.add(key)
+        return node, fu
+
+    def edges(self, node, fu, gu) -> list:
+        kids = self.inner.edges(node, fu, gu)
+        key_of, seen = self.key, self.seen
+        fresh = []
+        for kid in kids:
+            key = key_of(kid[0])
+            if key is None:
+                fresh.append(kid)
+            elif key not in seen:
+                seen.add(key)
+                fresh.append(kid)
+        if len(fresh) == len(kids):
+            return fresh
+        if self.metrics is not None:
+            self.metrics.counter("solver.states.revisits").inc(
+                len(kids) - len(fresh))
+        return fresh or _Revisited()
+
+
+class _Revisited(list):
+    """The edges of a node whose every child reached a state the walk
+    had already handed out: nothing to push, but the node has
+    admissible extensions, so it is no dead end."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return True
+
+
 def solve(description: Description, channels: Iterable[Channel],
           max_depth: int,
           limit_depth: int = DEFAULT_DEPTH,
@@ -1735,6 +1868,10 @@ def solve_query(description: Description,
     to best-first exploration under the rhs-distance heuristic, which
     pops solution-shaped nodes first — the combination the EXT-SEARCH
     benchmark pins as expanding measurably fewer nodes than ``solve``.
+    A textual predicate over a projection-factored description is
+    answered on the projection-state graph, one node per per-channel
+    projection state, so ``dedup`` matters only under
+    ``iterative-deepening``.
     """
     solver = SmoothSolutionSolver.over_channels(
         description, channels, limit_depth=limit_depth, tracer=tracer,

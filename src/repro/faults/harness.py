@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.channels.channel import Channel
 from repro.core.description import DEFAULT_DEPTH
@@ -278,7 +278,9 @@ def run_conformance(network: str,
                     depth: int = DEFAULT_DEPTH,
                     tracer=None,
                     record: bool = True,
-                    cache=None
+                    cache=None,
+                    on_case: Optional[
+                        Callable[[ConformanceCase], None]] = None
                     ) -> ConformanceReport:
     """Run ``agents`` under every ``plan × seed`` cell and check every
     quiescent trace against ``spec``.
@@ -312,6 +314,10 @@ def run_conformance(network: str,
     the grid facets (network, channel alphabets, observation set,
     budgets, policy) plus ``(plan, seed, record)`` — see
     :mod:`repro.cache.keys`.
+
+    ``on_case`` is called with each cell's case, cached or run, as
+    soon as the report holds it, so a live view follows the grid cell
+    by cell.
     """
     grid_started = time.monotonic()
     channel_list = list(channels)
@@ -340,6 +346,8 @@ def run_conformance(network: str,
                                 track="harness", plan=plan_name,
                                 seed=seed, outcome=case.outcome)
                         report.cases.append(case)
+                        if on_case is not None:
+                            on_case(case)
                         continue
                     if tracer.enabled:
                         tracer.event(
@@ -385,6 +393,8 @@ def run_conformance(network: str,
                 if cell_key is not None:
                     cache.put("cell", cell_key,
                               case.to_cache_payload())
+                if on_case is not None:
+                    on_case(case)
     report.wall_clock_s = time.monotonic() - grid_started
     return report
 

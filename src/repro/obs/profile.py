@@ -39,8 +39,8 @@ SITE_ORDER = ("compile.build", "rhs.apply", "lhs.apply.expand",
               "cache.get", "cache.put")
 
 #: The counters of untimed walk events (strategy pushes/pops,
-#: deepening rework, dedup states and hits).
-_EVENT_COUNTERS = ("solver.strategy.", "solver.dedup.")
+#: deepening rework, dedup states and hits, state-graph revisits).
+_EVENT_COUNTERS = ("solver.strategy.", "solver.dedup.", "solver.states.")
 
 _SITE = "solver.site."
 

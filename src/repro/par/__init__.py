@@ -309,6 +309,20 @@ def run_conformance_parallel(scenario: str,
             and not force_fleet:
         from repro.faults.harness import run_conformance
 
+        tally = None
+        if status is not None:
+            # one cell runs at a time, in this process
+            status.workers = 1
+            status.on_dispatch()
+
+            def tally(case: ConformanceCase) -> None:
+                # the scoreboard follows the grid cell by cell,
+                # counting hits and misses as the fleet does
+                if cache is not None and not case.cached:
+                    status.cache_misses += 1
+                status.on_complete(case.outcome, case.elapsed_s,
+                                   cached=case.cached)
+
         # serial reference path; the harness does its own cache
         # consult/store with the same keys, so hand it the store and
         # the full grid
@@ -318,19 +332,11 @@ def run_conformance_parallel(scenario: str,
             observe=built.observe, max_steps=steps,
             policy=built.policy, watchdog_limit=built.watchdog_limit,
             depth=built.depth, tracer=tracer, record=record,
-            cache=cache,
+            cache=cache, on_case=tally,
         )
         report.wall_clock_s = time.monotonic() - started
         if status is not None:
-            # serial reference path: fold the finished grid into the
-            # scoreboard in one go, counting hits as the fleet does
-            status.workers = 1
-            if cache is not None:
-                status.cache_misses = sum(
-                    not case.cached for case in report.cases)
-            for case in report.cases:
-                status.on_complete(case.outcome, case.elapsed_s,
-                                   cached=case.cached)
+            status.on_settled()
             status.finished = True
         return report
 

@@ -140,6 +140,94 @@ class TestPruning:
         assert answer.witness is not None
 
 
+class TestStateGraph:
+    """A textual predicate over a projection-factored description is
+    answered on the projection-state graph: each per-channel
+    projection state is expanded once (answers, witnesses and state
+    counts: ``tests/properties/test_state_graph_query.py``)."""
+
+    @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
+    def test_traced_run_counts_revisits(self, strategy):
+        from repro.obs import RingBufferSink, Tracer
+
+        tracer = Tracer([RingBufferSink(capacity=100_000)])
+        answer = dfm_solver(tracer=tracer, strategy=strategy).query(
+            "length <= 4", 4, mode="all")
+        counters = answer.result.profile["counters"]
+        # every admitted child was pushed once or dropped as a revisit
+        admitted = answer.result.metrics["solver.candidates_proposed"] \
+            - answer.result.metrics["solver.candidates_pruned"]
+        pushed = counters[f"strategy.{strategy}.pushed"]
+        assert pushed == answer.nodes_explored
+        assert counters["states.revisits"] == admitted - (pushed - 1)
+        assert counters["states.revisits"] > 0
+
+    def test_state_graph_query_writes_no_cache_entry(self, tmp_path):
+        from repro.cache.store import CacheStore
+
+        store = CacheStore(tmp_path)
+        answer = dfm_solver(cache=store).query("length <= 4", 4,
+                                               mode="all")
+        assert answer.holds is True
+        assert not answer.result.truncated
+        assert answer.result.strategy_meta == {"graph": "states"}
+        assert store.stats()["total_entries"] == 0
+        # the store still serves the tree: a later explore misses,
+        # enumerates and writes the tree's digest
+        fresh = dfm_solver(cache=CacheStore(tmp_path)).explore(4)
+        assert fresh.digest() == dfm_solver().explore(4).digest()
+        assert CacheStore(tmp_path).stats()["total_entries"] == 1
+
+    def test_cached_tree_answers_as_a_tree(self, tmp_path):
+        from repro.cache.store import CacheStore
+
+        store = CacheStore(tmp_path)
+        tree = dfm_solver(cache=store).explore(4)
+        answer = dfm_solver(cache=CacheStore(tmp_path)).query(
+            "length <= 4", 4, mode="all")
+        assert answer.holds is True
+        assert answer.meta["graph"] == "tree"
+        assert answer.nodes_explored == tree.nodes_explored
+
+    def test_checkpoint_resumes_only_as_a_state_graph_query(self):
+        straight = dfm_solver().query("length >= 99", 4)
+        assert straight.holds is False
+        partial = dfm_solver().query("length >= 99", 4, max_nodes=40)
+        assert partial.holds is None
+        checkpoint = partial.result.checkpoint()
+        assert checkpoint.meta == {"graph": "states"}
+        with pytest.raises(ValueError, match="projection-state graph"):
+            dfm_solver().explore(4, resume_from=checkpoint)
+        with pytest.raises(ValueError, match="projection-state graph"):
+            dfm_solver().query(lambda t: t.length() >= 99, 4,
+                               resume_from=checkpoint)
+        resumed = dfm_solver().query("length >= 99", 4,
+                                     resume_from=checkpoint)
+        assert resumed.holds is straight.holds
+        assert resumed.meta["graph"] == "states"
+
+    def test_resumed_state_graph_query_finds_the_witness(self):
+        straight = dfm_solver().query("on:b >= 1, on:c >= 1", 4)
+        assert straight.holds is True
+        partial = dfm_solver().query("on:b >= 1, on:c >= 1", 4,
+                                     max_nodes=20)
+        assert partial.holds is None
+        resumed = dfm_solver().query(
+            "on:b >= 1, on:c >= 1", 4,
+            resume_from=partial.result.checkpoint())
+        assert resumed.holds is True
+        assert dfm_solver().replay_witness(resumed.certificate) \
+            == resumed.witness
+
+    def test_tree_walk_checkpoint_resumes_as_a_state_graph_query(self):
+        partial = dfm_solver().explore(4, max_nodes=40)
+        assert partial.truncated
+        resumed = dfm_solver().query("length >= 99", 4,
+                                     resume_from=partial.checkpoint())
+        assert resumed.holds is False
+        assert resumed.meta["graph"] == "states"
+
+
 class TestPredicateLanguage:
     def test_clauses(self):
         t = Trace.from_pairs([(B, 0), (D, 0), (C, 1)])

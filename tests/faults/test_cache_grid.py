@@ -200,6 +200,52 @@ class TestParallelGridCache:
         assert boards[1] == boards[2] == [(6, 0, 0.0, 6), (6, 6, 1.0, 6)]
 
 
+class TestLiveSerialScoreboard:
+    """The serial executor feeds the live scoreboard cell by cell,
+    not the finished grid in one go."""
+
+    def test_on_case_sees_each_cell_in_grid_order(self, tmp_path):
+        agents, channels, spec, plans = dfm_grid_inputs()
+        store = CacheStore(tmp_path)
+        run_conformance("dfm", agents, channels, spec, plans,
+                        seeds=[0], cache=store)
+        seen = []
+        report = run_conformance(
+            "dfm", agents, channels, spec, plans, seeds=[0, 1, 2],
+            cache=CacheStore(tmp_path),
+            on_case=lambda case: seen.append((case.seed, case.cached)))
+        assert seen == [(0, True), (1, False), (2, False)]
+        assert [(c.seed, c.cached) for c in report.cases] == seen
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_done_counts_rise_one_cell_at_a_time(self, tmp_path, warm):
+        from repro.obs.telemetry import FleetStatus
+
+        store = CacheStore(tmp_path)
+        if warm:
+            par.run_conformance_parallel("dfm", seeds=[0, 1],
+                                         workers=1, cache=store)
+        seen = []
+
+        class Watching(FleetStatus):
+            def on_complete(self, outcome, elapsed_s, cached=False):
+                super().on_complete(outcome, elapsed_s, cached=cached)
+                seen.append(self.snapshot())
+
+        status = Watching()
+        report = par.run_conformance_parallel(
+            "dfm", seeds=[0, 1], workers=1, cache=store, status=status)
+        total = len(report.cases)
+        assert [snap["done"] for snap in seen] == \
+            list(range(1, total + 1))
+        assert all(snap["workers"] == 1 and snap["busy"] == 1
+                   and not snap["finished"] for snap in seen)
+        assert [snap["cached"] for snap in seen] == \
+            list(range(1, total + 1) if warm else [0] * total)
+        final = status.snapshot()
+        assert final["finished"] and final["busy"] == 0
+
+
 class TestEmptyGrid:
     def test_no_seeds_is_vacuously_conforming(self):
         report = par.run_conformance_parallel("dfm", seeds=[],

@@ -520,6 +520,17 @@ class TestQueryCli:
                      "--exists", "on:b >= 1"]) == 0
         assert "holds" in capsys.readouterr().out
 
+    def test_textual_predicate_walks_the_state_graph(self, capsys):
+        from repro.__main__ import main
+
+        # the command hands query the predicate's text, which is what
+        # lets it answer on the projection-state graph: 213 states
+        # where the depth-4 tree has 697 nodes
+        assert main(["query", "dfm", "--depth", "4",
+                     "--all", "length <= 4"]) == 0
+        assert "projection states explored: 213 " in \
+            capsys.readouterr().out
+
 
 class TestSolveCli:
     def test_complete_run_exits_zero(self, capsys):
