@@ -1,13 +1,13 @@
 """[EXT] Compiled f(v) ⊑ g(u) hot path vs the memoized reference.
 
-The ROADMAP's "compile the hot path" item, cashed in: interning
-channels/messages to small ints, running the §3.3 BFS over flat
-tuples (per-channel environments and event tuples), deriving each node's ``g`` from its parent's, and
-collapsing the finite-fragment order tests to tuple prefix checks
-(see :mod:`repro.core.compiled`).  Timed cold — table build
-and closure compilation inside the measured region — against the
-PR-4 memoized reference loop at the same depth, with the speedup
-refused unless every observable artifact is bit-identical:
+The ROADMAP's "compile the hot path" item, cashed in: giving each
+channel a slot, running the §3.3 BFS over flat tuples (per-channel
+environments and event tuples), deriving each node's ``g`` from its
+parent's, and collapsing the finite-fragment order tests to tuple
+prefix checks (see :mod:`repro.core.compiled`).  Timed cold — slot
+assignment and closure compilation inside the measured region —
+against the memoized reference loop at the same depth, with the
+speedup refused unless every observable artifact is bit-identical:
 
 * result digests at every depth up to the benchmark depth,
 * truncation + checkpoint-resume results across engine mixes,
@@ -72,7 +72,7 @@ def test_compiled_explore_speedup(benchmark):
         assert _solver(True).explore(d).digest() == \
             _solver(False).explore(d).digest(), f"depth {d}"
 
-    # cold = a fresh solver per run, so interning + closure
+    # cold = a fresh solver per run, so slot assignment + closure
     # compilation are paid inside the measured region
     ref, ref_s = _best_of(lambda: _solver(False).explore(depth),
                           repeats=3)

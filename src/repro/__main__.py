@@ -63,6 +63,9 @@ import sys
 #: solve ``trace`` runs.
 SOLVE_DEPTH = 4
 
+#: ``--engine`` choice -> the solver's ``compiled`` argument.
+ENGINES = {"auto": None, "reference": False, "compiled": True}
+
 
 def cmd_summary() -> int:
     from repro import __version__
@@ -918,12 +921,10 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
 
         ring = RingBufferSink(capacity=500_000)
         tracer = Tracer([ring])
-    compiled = {"auto": None, "reference": False,
-                "compiled": True}[engine]
     solver = SmoothSolutionSolver.over_channels(
         sc.spec, sc.solve_channels, cache=store, tracer=tracer,
-        compiled=compiled, strategy=strategy, heuristic=heuristic,
-        dedup=dedup)
+        compiled=ENGINES[engine], strategy=strategy,
+        heuristic=heuristic, dedup=dedup)
     resume_from = None
     if resume:
         from repro.cache import SolverCheckpoint
@@ -1006,11 +1007,10 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
     text = exists if exists is not None else all_pred
     sc = get_scenario(scenario)
     store = _make_cache(use_cache, cache_dir)
-    compiled = {"auto": None, "reference": False,
-                "compiled": True}[engine]
     solver = SmoothSolutionSolver.over_channels(
-        sc.spec, sc.solve_channels, cache=store, compiled=compiled,
-        strategy=strategy, heuristic=heuristic, dedup=dedup)
+        sc.spec, sc.solve_channels, cache=store,
+        compiled=ENGINES[engine], strategy=strategy,
+        heuristic=heuristic, dedup=dedup)
     try:
         predicate = parse_predicate(text)
         names = [ch.name for ch in sc.solve_channels]
@@ -1050,6 +1050,7 @@ def _add_cache_options(sub_parser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.core.search import HEURISTICS, STRATEGIES
     from repro.par import scenario_names
 
     scenarios = scenario_names()
@@ -1319,20 +1320,20 @@ def main(argv: list[str] | None = None) -> int:
         help="write collapsed stacks (speedscope/flamegraph.pl "
              "importable)")
     p_solve.add_argument(
-        "--engine", choices=("auto", "reference", "compiled"),
+        "--engine", choices=tuple(ENGINES),
         default="auto",
         help="exploration path: auto-detect (default), force the "
              "reference loop, or demand the compiled hot path — "
              "digests are identical either way")
     p_solve.add_argument(
         "--strategy",
-        choices=("bfs", "best-first", "iterative-deepening"),
+        choices=STRATEGIES,
         default="bfs",
         help="exploration order (default bfs); every strategy finds "
              "the same solution set wherever it completes")
     p_solve.add_argument(
         "--heuristic",
-        choices=("depth", "rhs-distance", "channel-balance"),
+        choices=tuple(HEURISTICS),
         default="rhs-distance",
         help="best-first ranking (ignored by the other strategies)")
     p_solve.add_argument(
@@ -1366,18 +1367,18 @@ def main(argv: list[str] | None = None) -> int:
         "--budget-seconds", type=float, default=None,
         help="wall-clock budget")
     p_query.add_argument(
-        "--engine", choices=("auto", "reference", "compiled"),
+        "--engine", choices=tuple(ENGINES),
         default="auto",
         help="exploration path (see solve --engine)")
     p_query.add_argument(
         "--strategy",
-        choices=("bfs", "best-first", "iterative-deepening"),
+        choices=STRATEGIES,
         default="best-first",
         help="exploration order (default best-first: pops "
              "solution-shaped nodes first, so queries settle early)")
     p_query.add_argument(
         "--heuristic",
-        choices=("depth", "rhs-distance", "channel-balance"),
+        choices=tuple(HEURISTICS),
         default="rhs-distance",
         help="best-first ranking (default rhs-distance)")
     p_query.add_argument(

@@ -6,9 +6,12 @@ under the prefix order.  The reference path does this with linked
 ``Seq`` objects and lazy combinators — semantically exactly right and
 needlessly slow for the finite fragment the solver actually visits.
 
-This module compiles a :class:`~repro.core.description.Description`
-into closures over a *packed environment* (per-channel message tuples,
-see :mod:`repro.traces.intern`):
+This module owns the one representation the compiled path uses.  Each
+channel a description observes or a candidate mentions gets a *slot*,
+and an *environment* (:data:`Env`) holds one flat message tuple per
+slot: ``env[cid]`` is the channel's message subsequence, the paper's
+per-channel projection ``b(t)`` (§3.1), and holds each event's own
+message object.  A description compiles into closures over it:
 
 * ``ChannelFn b``          →  ``env[cid(b)]`` (a tuple lookup);
 * ``ConstFn`` (finite)     →  the constant's flat tuple;
@@ -17,11 +20,21 @@ see :mod:`repro.traces.intern`):
   attaches the sequence operations' faces, :mod:`repro.functions.logic`
   those of ``R`` and ``AND``), else a generic box/unbox wrapper;
 * ``TupleFn``              →  a tuple of compiled components, with one
-  generated tuple constructor per appended channel at any arity;
-* the prefix test          →  :func:`repro.seq.packed.packed_leq`
-  (finite values make ``seq_leq`` a plain tuple-slice comparison);
-* the limit condition      →  ``fu == gu`` (finite values make
-  ``eq_upto`` exact equality at any depth).
+  generated tuple constructor per appended channel at any arity.
+
+On this finite fragment the order theory collapses, which is what
+lets the comparisons below be plain tuple operations:
+
+* every value is known finite, so ``seq_leq`` never raises and is a
+  prefix test: ``a ⊑ b`` iff ``b[:len(a)] == a``
+  (:func:`_tuple_leq`, componentwise :func:`_product_leq`);
+* with both lengths known, ``seq_eq_upto(a, b, depth)`` demands prefix
+  agreement *and* equal lengths, which on finite values is exact
+  equality at any depth — so the limit condition ``f(u) = g(u)`` is
+  one tuple compare.
+
+``tests/properties/test_compiled_equivalence.py`` pins both collapses
+against :mod:`repro.seq.ordering` at every depth ≤ 8.
 
 The same closures check one finite run trace in a single pass
 (:func:`decide_smooth_solution`, behind
@@ -31,19 +44,28 @@ events instead of a candidate alphabet.
 Compilation is deliberately *partial*: anything outside this fragment
 — subclassed descriptions (whose overridden hooks must keep firing),
 opaque ``LambdaFn``/``ProjectionFn``/``IdentityFn`` sides, lazy
-constants, non-sequence codomains, per-node candidate generators —
-returns ``None`` and the caller stays on the reference path.  A
-compile-time probe additionally evaluates both paths on the empty
-trace and every single-event trace and refuses to compile on any
-disagreement, so a mis-specified ``tuple_face`` degrades to the slow
-path instead of a wrong answer.  Side-by-side property tests pin the
-equivalence beyond the probe.
+constants, non-sequence codomains, per-node candidate generators,
+unhashable messages — returns ``None`` and the caller stays on the
+reference path.  A compile-time probe additionally evaluates both
+paths on the empty trace and every single-event trace and refuses to
+compile on any disagreement, so a mis-specified ``tuple_face``
+degrades to the slow path instead of a wrong answer.  Side-by-side
+property tests pin the equivalence beyond the probe.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.channels.channel import Channel
 from repro.channels.event import Event
@@ -58,9 +80,11 @@ from repro.functions.base import (
 from repro.order.product import ProductCpo
 from repro.seq.finite import FiniteSeq, Seq
 from repro.seq.ordering import SequenceCpo
-from repro.seq.packed import packed_leq
-from repro.traces.intern import InternTable, PackedEnv
 from repro.traces.trace import Trace
+
+#: A compiled environment: one message tuple per channel slot, so
+#: ``env[cid]`` is that channel's message subsequence.
+Env = Tuple[Tuple[Any, ...], ...]
 
 
 class CompiledEvalError(Exception):
@@ -73,23 +97,36 @@ class CompiledEvalError(Exception):
     """
 
 
-def _unbox(value: Any) -> tuple:
-    """Flatten an op result back to a plain tuple."""
+def _pack(value: Any) -> Optional[Any]:
+    """A value in compiled form: a finite ``Seq`` as its flat tuple,
+    a tuple of values componentwise; ``None`` for anything not known
+    to be finite."""
     if isinstance(value, FiniteSeq):
         return value.items
+    if isinstance(value, tuple):
+        parts = []
+        for v in value:
+            packed = _pack(v)
+            if packed is None:
+                return None
+            parts.append(packed)
+        return tuple(parts)
     if isinstance(value, Seq):
         n = value.known_length()
         if n is not None:
             return value.take(n).items
-    raise CompiledEvalError(
-        f"operation produced a non-finite value: {value!r}"
-    )
+    return None
+
+
+def _extend(env: Env, cid: int, message: Any) -> Env:
+    """The environment after appending ``message`` on slot ``cid``."""
+    return env[:cid] + (env[cid] + (message,),) + env[cid + 1:]
 
 
 class CompiledSide:
     """One side of a description as per-component closures.
 
-    ``evals[i]`` maps a packed environment to the i-th component's
+    ``evals[i]`` maps an environment to the i-th component's
     value (a flat message tuple); ``reads[i]`` is the set of channel
     ids that closure actually dereferences — the basis of the
     incremental re-evaluation below.  ``is_product`` distinguishes a
@@ -99,16 +136,16 @@ class CompiledSide:
 
     __slots__ = ("evals", "reads", "is_product", "after")
 
-    def __init__(self, evals: Tuple[Callable[[PackedEnv], tuple], ...],
+    def __init__(self, evals: Tuple[Callable[[Env], tuple], ...],
                  reads: Tuple[FrozenSet[int], ...], is_product: bool):
         self.evals = evals
         self.reads = reads
         self.is_product = is_product
         #: cid -> specialized ``(env, parent_value) -> value`` closure;
         #: filled by :meth:`bind` once the channel count is known
-        self.after: Tuple[Callable[[PackedEnv, Any], Any], ...] = ()
+        self.after: Tuple[Callable[[Env, Any], Any], ...] = ()
 
-    def eval(self, env: PackedEnv) -> Any:
+    def eval(self, env: Env) -> Any:
         """Full evaluation on an environment."""
         if self.is_product:
             return tuple(e(env) for e in self.evals)
@@ -132,7 +169,7 @@ class CompiledSide:
         self.after = tuple(self._after_for(cid)
                            for cid in range(n_channels))
 
-    def _after_for(self, cid: int) -> Callable[[PackedEnv, Any], Any]:
+    def _after_for(self, cid: int) -> Callable[[Env, Any], Any]:
         hot = tuple(cid in r for r in self.reads)
         if not any(hot):
             return lambda env, parent: parent
@@ -159,6 +196,12 @@ def _after_maker(hot: Tuple[bool, ...]) -> Callable[..., Callable]:
     return eval(f"lambda {args}: lambda env, parent: ({parts})", {})
 
 
+def _tuple_leq(a: tuple, b: tuple) -> bool:
+    """The prefix order ``a ⊑ b`` on flat tuples: ``seq_leq`` on the
+    finite fragment, where it never raises."""
+    return b[: len(a)] == a
+
+
 @functools.lru_cache(maxsize=64)
 def _product_leq(arity: int) -> Callable[[tuple, tuple], bool]:
     """The componentwise prefix test on ``arity``-tuples of flat
@@ -177,40 +220,40 @@ def _product_leq(arity: int) -> Callable[[tuple, tuple], bool]:
 class CompiledDescription:
     """A description compiled against a constant candidate alphabet.
 
-    ``actions`` is the precompiled per-candidate table the solver's
-    inner loop iterates: one ``(pair, cid, event)`` entry per
-    candidate event, in candidate order — the packed event, its
-    channel id, and the original :class:`Event`, which the solver
-    appends to a child's event tuple.
+    ``slots`` maps each channel to its environment slot.  ``actions``
+    is the precompiled per-candidate table the solver's inner loop
+    iterates: one ``(cid, message, event)`` entry per candidate event,
+    in candidate order — its channel's slot, its message, and the
+    :class:`Event` itself, which the solver appends to a child's event
+    tuple.
     """
 
-    __slots__ = ("description", "table", "lhs", "rhs", "actions",
+    __slots__ = ("description", "slots", "lhs", "rhs", "actions",
                  "leq", "root_env")
 
-    def __init__(self, description: Description, table: InternTable,
+    def __init__(self, description: Description,
+                 slots: Dict[Channel, int], events: Iterable[Event],
                  lhs: CompiledSide, rhs: CompiledSide,
                  leq: Callable[[Any, Any], bool]):
         self.description = description
-        self.table = table
+        self.slots = slots
         self.lhs = lhs
         self.rhs = rhs
         self.leq = leq
-        self.actions: Tuple[Tuple[Tuple[int, int], int, Event], ...] = \
-            tuple(
-                (table.intern_event(e), table.intern_event(e)[0], e)
-                for e in table.events
-            )
-        self.root_env = table.empty_env
-        lhs.bind(len(table.channels))
-        rhs.bind(len(table.channels))
+        self.actions: Tuple[Tuple[int, Any, Event], ...] = tuple(
+            (slots[e.channel], e.message, e) for e in events)
+        self.root_env: Env = ((),) * len(slots)
+        lhs.bind(len(slots))
+        rhs.bind(len(slots))
 
-    # The limit condition f(u) = g(u): with both values finite,
-    # ``eq_upto`` at any depth is exact equality (see
-    # repro.seq.packed.packed_eq_upto), which on packed values is
-    # plain tuple equality.
-    @staticmethod
-    def limit_holds(fu: Any, gu: Any) -> bool:
-        return fu == gu
+    def env_of(self, events: Iterable[Event]) -> Env:
+        """The environment of a trace over the alphabet's channels:
+        ``env[cid]`` is its ``sequence_on`` that channel, as a tuple."""
+        buckets: List[List[Any]] = [[] for _ in self.root_env]
+        slots = self.slots
+        for event in events:
+            buckets[slots[event.channel]].append(event.message)
+        return tuple(map(tuple, buckets))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +261,7 @@ class CompiledDescription:
 # ---------------------------------------------------------------------------
 
 def _compile_fn(fn: ContinuousFn, channel_ids) -> Optional[
-        Tuple[Callable[[PackedEnv], tuple], FrozenSet[int]]]:
+        Tuple[Callable[[Env], tuple], FrozenSet[int]]]:
     """Compile one (non-tuple) expression node; ``None`` = can't.
 
     Exact-type checks throughout: a *subclass* of ``ChannelFn`` or
@@ -254,10 +297,13 @@ def _compile_fn(fn: ContinuousFn, channel_ids) -> Optional[
                     _f(*(a(env) for a in _as))), reads
         args = tuple(compiled)
 
-        def generic(env: PackedEnv, _op=fn.op, _as=args) -> tuple:
-            return _unbox(
-                _op(*(FiniteSeq.from_tuple(a(env)) for a in _as))
-            )
+        def generic(env: Env, _op=fn.op, _as=args) -> tuple:
+            value = _op(*(FiniteSeq.from_tuple(a(env)) for a in _as))
+            packed = _pack(value)
+            if packed is None:
+                raise CompiledEvalError(
+                    f"operation produced a non-finite value: {value!r}")
+            return packed
 
         return generic, reads
     # ProjectionFn / IdentityFn / LambdaFn / nested TupleFn / unknown
@@ -267,7 +313,7 @@ def _compile_fn(fn: ContinuousFn, channel_ids) -> Optional[
 def _compile_side(fn: ContinuousFn, channel_ids
                   ) -> Optional[CompiledSide]:
     if type(fn) is TupleFn:
-        evals: List[Callable[[PackedEnv], tuple]] = []
+        evals: List[Callable[[Env], tuple]] = []
         reads: List[FrozenSet[int]] = []
         for component in fn.components:
             sub = _compile_fn(component, channel_ids)
@@ -325,24 +371,6 @@ def _codomain_arity(codomain: Any) -> Optional[int]:
     return None
 
 
-def _pack_reference_value(value: Any) -> Optional[Any]:
-    """A reference-path value in packed form (for the probe)."""
-    if isinstance(value, tuple):
-        parts = []
-        for v in value:
-            packed = _pack_reference_value(v)
-            if packed is None:
-                return None
-            parts.append(packed)
-        return tuple(parts)
-    if isinstance(value, Seq):
-        n = value.known_length()
-        if n is None:
-            return None
-        return value.take(n).items
-    return None
-
-
 def compile_description(description: Description,
                         candidates: Any) -> Optional[CompiledDescription]:
     """Compile ``description`` against a candidate generator.
@@ -353,7 +381,7 @@ def compile_description(description: Description,
     * the description must be exactly :class:`Description` (subclasses
       override hooks the compiled loop would bypass);
     * the candidate generator must publish a constant alphabet
-      (``constant_events``);
+      (``constant_events``) whose messages are hashable;
     * both sides must lie in the compilable expression fragment and
       agree with the codomain's (product) shape;
     * a probe run over the empty and all single-event traces must
@@ -374,16 +402,23 @@ def _compile(description: Description,
     rhs_channels = _leaf_channels(description.rhs)
     if lhs_channels is None or rhs_channels is None:
         return None
+    events = tuple(events)
     try:
-        table = InternTable(
-            events,
-            extra_channels=sorted(lhs_channels | rhs_channels,
-                                  key=lambda c: c.name),
-        )
+        # environments are hashed: they are the dedup memo's and the
+        # state graph's keys
+        hash(tuple(e.message for e in events))
     except TypeError:
-        return None  # unhashable message: cannot intern
-    lhs = _compile_side(description.lhs, table.channel_ids)
-    rhs = _compile_side(description.rhs, table.channel_ids)
+        return None
+    # the sides' channels first, by name, then each candidate's in
+    # candidate order
+    slots: Dict[Channel, int] = {}
+    for channel in sorted(lhs_channels | rhs_channels,
+                          key=lambda c: c.name):
+        slots[channel] = len(slots)
+    for event in events:
+        slots.setdefault(event.channel, len(slots))
+    lhs = _compile_side(description.lhs, slots)
+    rhs = _compile_side(description.rhs, slots)
     if lhs is None or rhs is None:
         return None
 
@@ -393,7 +428,7 @@ def _compile(description: Description,
     if arity == 0:
         if lhs.is_product or rhs.is_product:
             return None
-        leq = packed_leq
+        leq = _tuple_leq
     else:
         if not (lhs.is_product and rhs.is_product):
             return None
@@ -401,7 +436,8 @@ def _compile(description: Description,
             return None
         leq = _product_leq(arity)
 
-    compiled = CompiledDescription(description, table, lhs, rhs, leq)
+    compiled = CompiledDescription(description, slots, events, lhs,
+                                   rhs, leq)
     if not _probe_agrees(compiled):
         return None
     return compiled
@@ -416,17 +452,16 @@ def _probe_agrees(compiled: CompiledDescription) -> bool:
     before the solver commits to the compiled loop.
     """
     description = compiled.description
-    probes = [(Trace.empty(), compiled.root_env)]
-    for pair, _cid, event in compiled.actions:
-        probes.append((
-            Trace.empty().append(event),
-            compiled.table.extend_env(compiled.root_env, pair),
-        ))
+    root = compiled.root_env
+    probes = [(Trace.empty(), root)]
+    for cid, message, event in compiled.actions:
+        probes.append((Trace.empty().append(event),
+                       _extend(root, cid, message)))
     try:
         for trace, env in probes:
             for side, compiled_side in ((description.lhs, compiled.lhs),
                                         (description.rhs, compiled.rhs)):
-                want = _pack_reference_value(side.apply(trace))
+                want = _pack(side.apply(trace))
                 if want is None or compiled_side.eval(env) != want:
                     return False
     except Exception:
@@ -447,8 +482,8 @@ def decide_smooth_solution(description: Description, trace: Trace,
     The same answer as ``description.check(trace, depth).is_smooth``
     in one pass over the trace, where the reference re-applies both
     sides to each of its ``n`` prefixes.  The description is compiled
-    against the trace's own distinct events, the packed environment
-    grows one event at a time, and each step takes ``f(v)`` from
+    against the trace's own distinct events, the environment grows one
+    event at a time, and each step takes ``f(v)`` from
     ``lhs.after`` and ``g(u)`` from ``rhs.after`` — a side that does
     not read the appended channel keeps its value.  The pairs tested
     are those of ``trace.pre_pairs(depth)``: ``f(v) ⊑ g(u)`` while
@@ -471,12 +506,11 @@ def decide_smooth_solution(description: Description, trace: Trace,
         slots = [index.setdefault(event, len(index))
                  for event in trace.events.take(n).items]
     except TypeError:
-        return None  # unhashable message: cannot intern
+        return None  # unhashable message
     compiled = _compile(description, index)
     if compiled is None:
         return None
     actions = compiled.actions
-    extend = compiled.table.extend_env
     lhs_after, rhs_after = compiled.lhs.after, compiled.rhs.after
     leq = compiled.leq
     env = compiled.root_env
@@ -484,8 +518,8 @@ def decide_smooth_solution(description: Description, trace: Trace,
     gu = compiled.rhs.eval(env)
     try:
         for k, slot in enumerate(slots):
-            pair, cid, _event = actions[slot]
-            env = extend(env, pair)
+            cid, message, _event = actions[slot]
+            env = _extend(env, cid, message)
             fv = lhs_after[cid](env, fv)
             if k < depth and not leq(fv, gu):
                 return False

@@ -23,10 +23,11 @@ solution set.  This module holds the pieces of the escape hatch:
   certificate (see :meth:`SmoothSolutionSolver.witness_schedule`).
 
 Heuristic features are deliberately engine-neutral: the compiled
-engine computes lengths from flat tuples and counts from the packed
-environment, the reference engine from ``Seq``/``Trace`` values —
-both land on the same integers, so the two engines pop nodes in the
-same order and even *truncated* best-first runs agree bit-for-bit.
+engine computes lengths from flat tuples and counts from the
+per-channel environment, the reference engine from ``Seq``/``Trace``
+values — both land on the same integers, so the two engines pop nodes
+in the same order and even *truncated* best-first runs agree
+bit-for-bit.
 """
 
 from __future__ import annotations

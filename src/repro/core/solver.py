@@ -115,9 +115,9 @@ def alphabet_candidates(channels: Iterable[Channel]) -> CandidateFn:
         "events": [[e.channel.name, repr(e.message)] for e in events],
     }
     # the published constant alphabet is what makes the generator
-    # *compilable*: the solver's packed hot path interns exactly these
-    # events (per-node generators have no such attribute and keep the
-    # solver on the reference path)
+    # *compilable*: the solver's compiled hot path runs over exactly
+    # these events (per-node generators have no such attribute and
+    # keep the solver on the reference path)
     candidates.constant_events = tuple(events)
     return candidates
 
@@ -180,9 +180,6 @@ class SolverResult:
     #: the result digest and the cache payload, so strategies can park
     #: state without perturbing any pinned hash.
     strategy_meta: dict = field(default_factory=dict)
-
-    def solution_set(self) -> set[Trace]:
-        return set(self.finite_solutions)
 
     def digest(self) -> str:
         """Stable content hash of the exploration's outcome.
@@ -320,7 +317,7 @@ class SmoothSolutionSolver:
         #: completed results after
         self.cache = cache
         #: compiled hot path: ``None`` (default) auto-detects — use
-        #: the packed representation when the description and
+        #: the compiled representation when the description and
         #: candidate generator compile (see :mod:`repro.core
         #: .compiled`), else the reference path.  ``False`` forces the
         #: reference path; ``True`` demands compilation and makes
@@ -341,7 +338,7 @@ class SmoothSolutionSolver:
         #: a typo fails at construction, not mid-search.
         self.heuristic = get_heuristic(heuristic).name
         #: duplicate-state reduction: memoize ``g``, the limit verdict
-        #: and the admissible-extension scan per *interned per-channel
+        #: and the admissible-extension scan per *channel
         #: projection* — nodes whose channel projections coincide (the
         #: paper's ``b(t)``) share one evaluation.  Every node is
         #: still enumerated and classified, so the solution set (and
@@ -475,8 +472,8 @@ class SmoothSolutionSolver:
 
         When the description and candidate generator lie in the
         compilable finite fragment (see :mod:`repro.core.compiled`),
-        the same walk runs over interned channels/messages, per-channel
-        message tuples and event tuples, with ``g`` re-evaluated
+        the same walk runs over channel slots, per-channel message
+        tuples and event tuples, with ``g`` re-evaluated
         incrementally from the parent's value — an order of magnitude
         faster, and bit-identical at this API boundary: results, digests,
         checkpoints and cache payloads match the reference path
@@ -748,7 +745,7 @@ class SmoothSolutionSolver:
     def _channel_universe(self) -> tuple:
         """The fixed channel set heuristics and dedup keys range over:
         the candidate alphabet's channels plus both sides' observed
-        channels — the same universe the compiled engine interns, so
+        channels — the channels the compiled engine gives slots, so
         feature values agree across engines."""
         from repro.core.compiled import _leaf_channels
 
@@ -1103,18 +1100,33 @@ class SmoothSolutionSolver:
         re-checks (that would re-run the work the cache is skipping) —
         and then verifies the rebuilt result's digest against the
         stored one, so a drifted generator or an ambiguous ``repr``
-        degrades to a miss, never to a wrong answer.
+        degrades to a miss, never to a wrong answer.  A constant
+        alphabet matches every step alike, so it is keyed once and
+        each trace is built in one step.
         """
+        rebuild = self._rebuild_trace
+        events = getattr(self.candidates, "constant_events", None)
+        if events is not None:
+            # channel name -> message repr -> event
+            by_key: dict = {}
+            for event in events:
+                # the first candidate wins, as in the per-step match
+                by_key.setdefault(event.channel.name, {}).setdefault(
+                    repr(event.message), event)
+
+            def rebuild(key: list) -> Trace:
+                if not key:
+                    return Trace.empty()
+                return Trace(FiniteSeq.from_tuple(
+                    tuple(by_key[name][message] for name, message in key)))
+
         try:
             result = SolverResult(
                 finite_solutions=[
-                    self._rebuild_trace(k)
-                    for k in payload["finite_solutions"]],
-                frontier=[self._rebuild_trace(k)
-                          for k in payload["frontier"]],
-                dead_ends=[self._rebuild_trace(k)
-                           for k in payload["dead_ends"]],
-                unvisited=[self._rebuild_trace(k)
+                    rebuild(k) for k in payload["finite_solutions"]],
+                frontier=[rebuild(k) for k in payload["frontier"]],
+                dead_ends=[rebuild(k) for k in payload["dead_ends"]],
+                unvisited=[rebuild(k)
                            for k in payload.get("unvisited", [])],
                 nodes_explored=int(payload["nodes_explored"]),
                 depth=int(payload["depth"]),
@@ -1515,8 +1527,8 @@ class _ReferenceEngine:
 
 
 class _CompiledEngine:
-    """The walks' view of the packed representation (same calls as
-    :class:`_ReferenceEngine`).
+    """The walks' view of :mod:`repro.core.compiled`'s representation
+    (same calls as :class:`_ReferenceEngine`).
 
     A node is ``(events, env, parent g, cid)``:
 
@@ -1524,7 +1536,7 @@ class _CompiledEngine:
       alphabet's own :class:`Event` objects (each child appends its
       candidate's), so :meth:`trace` wraps it as it stands;
     * ``env`` — the per-channel message environment, which *is* the
-      per-channel projection, so it doubles as the dedup key;
+      per-channel projection ``b(t)``, so it doubles as the dedup key;
     * ``parent g`` and ``cid`` — what ``g`` needs to be re-evaluated
       incrementally: the parent's value and the channel the node
       appended, whose ``rhs.after`` closure reuses every component
@@ -1540,29 +1552,25 @@ class _CompiledEngine:
     keeps even truncated best-first runs identical across engines.
     """
 
-    __slots__ = ("table", "lhs", "leq", "lhs_after", "g_after",
+    __slots__ = ("env_of", "lhs", "leq", "lhs_after", "g_after",
                  "seed_cid", "acts", "product")
 
     def __init__(self, compiled) -> None:
-        table = compiled.table
         rhs = compiled.rhs
-        self.table = table
+        self.env_of = compiled.env_of
         self.lhs = compiled.lhs
         self.leq = compiled.leq
         self.lhs_after = compiled.lhs.after
         # one slot past the per-channel closures: a seed's full g
         self.g_after = rhs.after + (lambda env, _parent: rhs.eval(env),)
         self.seed_cid = len(rhs.after)
-        # acts carries the raw message so the one-slot environment
-        # surgery needs no table call per candidate
-        self.acts = tuple((cid, table.messages[pair[1]], event)
-                          for pair, cid, event in compiled.actions)
+        self.acts = compiled.actions
         # both sides are products or neither (compile_description)
         self.product = rhs.is_product
 
     def seed(self, trace: Trace) -> tuple:
         events = tuple(trace)
-        env = self.table.env_of(self.table.pack(trace))
+        env = self.env_of(events)
         return (events, env, None, self.seed_cid), self.lhs.eval(env)
 
     def g(self, node):

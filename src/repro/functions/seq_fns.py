@@ -201,11 +201,6 @@ def select_by_oracle(s: Seq, oracle: Seq, keep: Any) -> Seq:
     return subsequence_positions(s, oracle, keep, name=f"select{keep!r}")
 
 
-def seq_pair(a: Seq, b: Seq) -> tuple[Seq, Seq]:
-    """Pair two sequence values (used with product codomains)."""
-    return (a, b)
-
-
 def zip_pairs(a: Seq, b: Seq) -> Seq:
     """Pointwise pairing of two sequences (length = min)."""
     return pointwise(lambda x, y: (x, y), a, b, name="zip")

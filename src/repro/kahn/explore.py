@@ -73,9 +73,6 @@ class ExplorationResult:
     #: ``True`` when the decision tree was fully enumerated
     complete: bool = True
 
-    def quiescent_count(self) -> int:
-        return len(self.quiescent_traces)
-
 
 def explore_schedules(make_agents: NetworkFactory,
                       channels: Iterable[Channel],

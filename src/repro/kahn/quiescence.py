@@ -33,12 +33,6 @@ class TraceSample:
     def distinct_quiescent(self) -> set[Trace]:
         return set(self.quiescent)
 
-    def distinct_prefixes(self) -> set[Trace]:
-        return set(self.prefixes)
-
-    def all_traces(self) -> list[Trace]:
-        return self.quiescent + self.prefixes
-
 
 def collect_traces(make_agents: NetworkFactory,
                    channels: Iterable[Channel],

@@ -269,11 +269,6 @@ class MetricsRegistry:
                 self.counter(name).inc(int(value))
         return self
 
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, Any]
-                      ) -> "MetricsRegistry":
-        return cls().merge(snapshot)
-
 
 def merge_registries(snapshots: Iterable[Dict[str, Any]]
                      ) -> MetricsRegistry:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable
 
 from repro.obs.sinks import Sink
 
@@ -233,8 +233,3 @@ class NullTracer(Tracer):
 
 #: The process-wide disabled tracer (safe to share: it holds no state).
 NULL_TRACER = NullTracer()
-
-
-def coalesce(tracer: Optional[Tracer]) -> Tracer:
-    """``tracer or NULL_TRACER`` with the intent spelled out."""
-    return tracer if tracer is not None else NULL_TRACER

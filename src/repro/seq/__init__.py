@@ -39,12 +39,6 @@ from repro.seq.combinators import (
 )
 from repro.seq.finite import EMPTY, FiniteSeq, Seq, fseq
 from repro.seq.lazy import LazySeq, NonProductiveError, as_seq
-from repro.seq.packed import (
-    pack_seq,
-    packed_eq_upto,
-    packed_leq,
-    packed_leq_upto,
-)
 from repro.seq.ordering import (
     SEQ_CPO,
     SequenceCpo,
@@ -79,10 +73,6 @@ __all__ = [
     "misra_y",
     "misra_z",
     "naturals",
-    "pack_seq",
-    "packed_eq_upto",
-    "packed_leq",
-    "packed_leq_upto",
     "pointwise",
     "prepend",
     "repeat",

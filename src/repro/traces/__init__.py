@@ -1,7 +1,6 @@
 """Traces, projections and the trace cpo (§3.1 of the paper)."""
 
 from repro.traces.domain import TRACE_CPO, TraceCpo, trace_eq_upto
-from repro.traces.intern import InternTable, intern_table_for
 from repro.traces.projection import (
     fact_f4,
     fact_f5_witness,
@@ -11,11 +10,9 @@ from repro.traces.projection import (
 from repro.traces.trace import Trace, one_step_extensions
 
 __all__ = [
-    "InternTable",
     "TRACE_CPO",
     "Trace",
     "TraceCpo",
-    "intern_table_for",
     "fact_f4",
     "fact_f5_witness",
     "is_projection_of_prefix",

@@ -1,12 +1,12 @@
 """The compiled engine is bit-identical to the reference loop.
 
-The tentpole claim of :mod:`repro.core.compiled`: interning, packed
-traces and batched frontier evaluation change *where the time goes*,
-never *what comes out*.  Every observable artifact — result digests,
-truncation reasons, checkpoints, resume results, cache keys and
-cross-engine cache hits — is asserted equal between the two engines,
-and everything outside the compilable fragment must fall back to the
-reference path automatically.
+The tentpole claim of :mod:`repro.core.compiled`: channel slots,
+per-channel message tuples and incremental evaluation change *where
+the time goes*, never *what comes out*.  Every observable artifact —
+result digests, truncation reasons, checkpoints, resume results,
+cache keys and cross-engine cache hits — is asserted equal between
+the two engines, and everything outside the compilable fragment must
+fall back to the reference path automatically.
 """
 
 import pytest
@@ -139,6 +139,38 @@ class TestCacheParity:
         assert cache.counters()["hit"] == counts["hit"] + 1
         assert hit.digest() == first.digest()
 
+    def test_hit_rebuilds_the_walked_traces(self, tmp_path):
+        # a constant alphabet rebuilds each cached trace in one step,
+        # from the alphabet's own Event objects
+        from repro.cache.store import CacheStore
+
+        cache = CacheStore(tmp_path)
+        walked = solver(False, cache=cache).explore(4)
+        cand = alphabet_candidates([B, C, D])
+        hit = SmoothSolutionSolver(dfm(), cand, cache=cache).explore(4)
+        assert cache.counters()["hit"] == 1
+        assert hit.digest() == walked.digest()
+        rebuilt = hit.finite_solutions + hit.frontier + hit.dead_ends
+        assert rebuilt == (walked.finite_solutions + walked.frontier
+                           + walked.dead_ends)
+        alphabet = {id(e) for e in cand.constant_events}
+        assert all(id(e) in alphabet for t in rebuilt for e in t)
+        assert hit.finite_solutions[0] is Trace.empty()
+
+    def test_per_node_generator_hit_matches_step_by_step(self, tmp_path):
+        # without a constant alphabet each step is matched against the
+        # generator's proposals at the trace built so far
+        from repro.cache.store import CacheStore
+
+        spec = dfm()
+        cand = rhs_guided_candidates([B, C, D], spec)
+        cache = CacheStore(tmp_path)
+        walked = SmoothSolutionSolver(spec, cand, cache=cache).explore(4)
+        hit = SmoothSolutionSolver(spec, cand, cache=cache).explore(4)
+        assert cache.counters()["hit"] == 1
+        assert hit.digest() == walked.digest()
+        assert hit.to_payload() == walked.to_payload()
+
 
 class TestFragmentGating:
     def test_instrumented_description_stays_on_reference(self):
@@ -160,7 +192,7 @@ class TestFragmentGating:
             spec, alphabet_candidates([B, D])) is None
 
     def test_rhs_guided_candidates_stay_on_reference(self):
-        # no constant_events alphabet -> nothing to intern
+        # no constant_events alphabet -> nothing to compile against
         spec = dfm()
         cand = rhs_guided_candidates([B, C, D], spec)
         assert compile_description(spec, cand) is None
@@ -194,20 +226,49 @@ class TestFragmentGating:
             dfm(), alphabet_candidates([B, C, D])) is not None
 
 
-class TestInternTableBoundary:
-    def test_unseen_but_valid_pair_round_trips(self):
-        from repro.traces.intern import InternTable
+class TestCompiledRepresentation:
+    def test_unhashable_message_stays_on_reference(self):
+        # environments are hashed as dedup and state-graph keys, so a
+        # constant alphabet with an unhashable message must not compile
+        u = Channel("u")
+        spec = Description(chan(u), const_seq(FiniteSeq(([0],))),
+                           name="u ⟵ [0]")
 
-        events = [Event(B, 0), Event(B, 2)]
-        tab = InternTable(events)
-        t = Trace.finite([Event(B, 0)])
-        assert tab.unpack(tab.pack(t)) == t
+        def candidates(t):
+            return [Event(u, [0])]
 
-    def test_empty_trace_unpacks_to_canonical_bottom(self):
-        from repro.traces.intern import InternTable
+        candidates.constant_events = (Event(u, [0]),)
+        assert compile_description(spec, candidates) is None
+        auto = SmoothSolutionSolver(spec, candidates).explore(2)
+        ref = SmoothSolutionSolver(spec, candidates,
+                                   compiled=False).explore(2)
+        assert auto.digest() == ref.digest()
 
-        tab = InternTable([Event(B, 0)])
-        assert tab.unpack(()) is Trace.empty()
+    def test_slots_hold_each_events_own_message(self):
+        # 1 == True, so anything keyed by message would merge them;
+        # actions and the environment hold each event's own object
+        b = Channel("b", alphabet={1})
+        c = Channel("c", alphabet={True})
+        events = [Event(b, 1), Event(c, True)]
+        spec = Description(chan(b), chan(c), name="b ⟵ c")
+
+        def candidates(t):
+            return events
+
+        candidates.constant_events = tuple(events)
+        compiled = compile_description(spec, candidates)
+        assert compiled is not None
+        for (cid, message, event), want in zip(compiled.actions,
+                                               events):
+            assert event is want and message is want.message
+            assert cid == compiled.slots[want.channel]
+        env = compiled.env_of(events)
+        assert env[compiled.slots[b]][0] is events[0].message
+        assert env[compiled.slots[c]][0] is True
+
+    def test_root_trace_is_canonical_bottom(self):
+        result = solver(True).explore(0)
+        assert result.finite_solutions[0] is Trace.empty()
 
 
 class TestOrderParity:

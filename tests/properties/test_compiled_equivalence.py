@@ -3,12 +3,12 @@
 Randomized and exhaustive evidence backs the engine swap in
 :mod:`repro.core.compiled`:
 
-* the *representation* is lossless — random finite traces survive a
-  pack/unpack round trip with equal events, equal hashes and equal
-  canonical keys;
+* the *environment* is the per-channel projection — on random finite
+  traces ``env_of(t)[cid]`` is ``t.sequence_on(ch)`` as a tuple, and
+  ``_extend`` is the one-step ``env_of``;
 * the *order theory* collapses correctly — on finite sequences the
-  packed prefix tests agree bit-for-bit with ``seq_leq`` /
-  ``seq_leq_upto`` / ``seq_eq_upto`` at every depth ≤ 8;
+  compiled prefix test agrees with ``seq_leq``, and ``seq_eq_upto``
+  is plain equality at every depth ≤ 8;
 * the compiled closures are the definitions they replace — every
   tuple face equals its operation, and the generated product
   closures (``after`` per channel, the componentwise prefix test)
@@ -35,7 +35,10 @@ from repro.channels.channel import Channel
 from repro.channels.event import Event
 from repro.core.compiled import (
     CompiledSide,
+    _extend,
+    _pack,
     _product_leq,
+    _tuple_leq,
     compile_description,
     decide_smooth_solution,
 )
@@ -44,21 +47,10 @@ from repro.core.solver import SmoothSolutionSolver, alphabet_candidates
 from repro.functions.base import LambdaFn, OpFn, chan, const_seq
 from repro.functions.seq_fns import even_of, odd_of, prepend_of, scale_of
 from repro.obs import RingBufferSink, Tracer
+from repro.processes.merge import dfm_descriptions
 from repro.seq.finite import FiniteSeq
 from repro.seq.lazy import LazySeq
-from repro.seq.ordering import (
-    SEQ_CPO,
-    seq_eq_upto,
-    seq_leq,
-    seq_leq_upto,
-)
-from repro.seq.packed import (
-    pack_seq,
-    packed_eq_upto,
-    packed_leq,
-    packed_leq_upto,
-)
-from repro.traces.intern import InternTable
+from repro.seq.ordering import SEQ_CPO, seq_eq_upto, seq_leq
 from repro.traces.trace import Trace
 
 B = Channel("b", alphabet={0, 2})
@@ -75,73 +67,58 @@ seqs = st.lists(messages, max_size=8).map(tuple)
 bits = st.lists(st.sampled_from(["T", "F"]), max_size=8).map(tuple)
 
 
-def table() -> InternTable:
-    return InternTable(EVENTS)
+@functools.lru_cache(maxsize=None)
+def compiled_dfm():
+    """dfm compiled against :data:`EVENTS`: a slot for each of b, c
+    and d."""
+    spec = combine(dfm_descriptions(B, C, D), name="dfm")
+    compiled = compile_description(spec, alphabet_candidates([B, C, D]))
+    assert compiled is not None
+    assert [event for _cid, _msg, event in compiled.actions] == EVENTS
+    return compiled
 
 
-class TestPackedRoundTrip:
-    @given(traces)
-    def test_round_trip_is_lossless(self, t):
-        tab = table()
-        packed = tab.pack(t)
-        assert len(packed) == t.length()
-        back = tab.unpack(packed)
-        assert back == t
-        assert hash(back) == hash(t)
-        assert list(back) == list(t)
-
-    @given(traces)
-    def test_round_trip_reuses_canonical_events(self, t):
-        # the unpacked trace is built from the table's own Event
-        # objects — the identity that keeps digests and cache
-        # payloads bit-identical downstream
-        tab = table()
-        for e in tab.unpack(tab.pack(t)):
-            assert e is tab.event_for(tab.intern_event(e))
-
+class TestEnvironment:
     @given(traces)
     def test_env_matches_per_channel_projections(self, t):
-        tab = table()
-        env = tab.env_of(tab.pack(t))
+        compiled = compiled_dfm()
+        env = compiled.env_of(t)
         for ch in (B, C, D):
-            cid = tab.channel_ids[ch]
-            assert env[cid] == pack_seq(t.sequence_on(ch))
+            assert env[compiled.slots[ch]] == tuple(t.sequence_on(ch))
 
     @given(traces, st.sampled_from(EVENTS))
-    def test_extend_env_is_one_step_append(self, t, e):
-        tab = table()
-        packed = tab.pack(t)
-        pair = tab.intern_event(e)
-        extended = tab.extend_env(tab.env_of(packed), pair)
-        assert extended == tab.env_of(packed + (pair,))
+    def test_extend_is_one_step_env_of(self, t, e):
+        compiled = compiled_dfm()
+        extended = _extend(compiled.env_of(t), compiled.slots[e.channel],
+                           e.message)
+        assert extended == compiled.env_of(t.append(e))
 
 
 class TestPackedOrderCollapse:
     @given(seqs, seqs)
     def test_leq_agrees_with_seq_leq(self, a, b):
-        assert packed_leq(a, b) == \
+        assert _tuple_leq(a, b) == \
             seq_leq(FiniteSeq(a), FiniteSeq(b))
-
-    @given(seqs, seqs, st.integers(0, 8))
-    def test_leq_upto_agrees_at_every_depth(self, a, b, depth):
-        assert packed_leq_upto(a, b, depth) == \
-            seq_leq_upto(FiniteSeq(a), FiniteSeq(b), depth)
 
     @given(seqs, seqs, st.integers(0, 8))
     def test_eq_upto_collapses_to_equality(self, a, b, depth):
         # both-finite ``=_depth`` is exact equality regardless of
         # depth — the collapse that turns the solver's limit check
         # into a tuple compare
-        assert packed_eq_upto(a, b, depth) == \
-            seq_eq_upto(FiniteSeq(a), FiniteSeq(b), depth)
-        assert packed_eq_upto(a, b, depth) == (a == b)
+        assert seq_eq_upto(FiniteSeq(a), FiniteSeq(b), depth) == \
+            (a == b)
 
-    @given(seqs)
-    def test_pack_seq_round_trip(self, a):
-        assert pack_seq(FiniteSeq(a)) == a
-        assert pack_seq(a) == a
-        assert FiniteSeq.from_tuple(pack_seq(FiniteSeq(a))) == \
-            FiniteSeq(a)
+
+class TestPack:
+    def test_pack_refuses_values_not_known_finite(self):
+        # the probe's and the generic op wrapper's packer: a lazy
+        # value, or a product with one, has no compiled form
+        lazy = LazySeq(iter(range(3)))
+        assert _pack(FiniteSeq((1, 2))) == (1, 2)
+        assert _pack((FiniteSeq((1,)), FiniteSeq(()))) == ((1,), ())
+        assert _pack(lazy) is None
+        assert _pack((FiniteSeq((1,)), lazy)) is None
+        assert _pack(7) is None
 
 
 class TestCompiledFaceAgreement:
@@ -156,7 +133,7 @@ class TestCompiledFaceAgreement:
         )
 
         for op in (even_filter, odd_filter, brock_f):
-            assert op.tuple_face(t) == pack_seq(op(FiniteSeq(t)))
+            assert op.tuple_face(t) == _pack(op(FiniteSeq(t)))
 
     @given(st.lists(st.sampled_from(["T", "F"]), max_size=8)
            .map(tuple))
@@ -170,7 +147,7 @@ class TestCompiledFaceAgreement:
 
         for op in (true_filter, false_filter, until_first_f,
                    count_ticks):
-            assert op.tuple_face(t) == pack_seq(op(FiniteSeq(t)))
+            assert op.tuple_face(t) == _pack(op(FiniteSeq(t)))
 
     @given(st.lists(st.integers(-4, 9), max_size=8).map(tuple))
     @settings(max_examples=40)
@@ -191,7 +168,7 @@ class TestCompiledFaceAgreement:
                tag_of(0, chan(D)), take_of(2, chan(D))]
         for fn in fns:
             face = fn.op.tuple_face
-            assert face(t) == pack_seq(fn.op(FiniteSeq(t)))
+            assert face(t) == _pack(fn.op(FiniteSeq(t)))
 
     @given(bits, bits)
     @example((), ())
@@ -200,11 +177,11 @@ class TestCompiledFaceAgreement:
     def test_logic_faces(self, a, b):
         from repro.functions.logic import and_map, r_map
 
-        assert r_map.tuple_face(a) == pack_seq(r_map(FiniteSeq(a)))
+        assert r_map.tuple_face(a) == _pack(r_map(FiniteSeq(a)))
         # AND's output stops at the shorter argument, on either side
         for x, y in ((a, b), (b, a)):
             assert and_map.tuple_face(x, y) == \
-                pack_seq(and_map(FiniteSeq(x), FiniteSeq(y)))
+                _pack(and_map(FiniteSeq(x), FiniteSeq(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +251,14 @@ class TestProductClosures:
         assert compiled is not None
         for side in (compiled.lhs, compiled.rhs):
             assert len(side.evals) == arity
-        table = compiled.table
         env = compiled.root_env
         values = [compiled.lhs.eval(env), compiled.rhs.eval(env)]
         for event in data.draw(st.lists(st.sampled_from(EVENTS),
                                         max_size=6)):
-            pair = table.intern_event(event)
-            env = table.extend_env(env, pair)
+            cid = compiled.slots[event.channel]
+            env = _extend(env, cid, event.message)
             for k, side in enumerate((compiled.lhs, compiled.rhs)):
-                values[k] = side.after[pair[0]](env, values[k])
+                values[k] = side.after[cid](env, values[k])
                 assert values[k] == side.eval(env)
 
 

@@ -1,7 +1,7 @@
 """Cached hashes on ``FiniteSeq``/``Trace`` — compute once, pickle never.
 
-The solver's packed path interns traces in dict-keyed tables, so every
-node's hash used to be recomputed on each lookup.  Both classes now
+The solver keys traces in dicts and sets, so every node's hash used
+to be recomputed on each lookup.  Both classes now
 memoize ``__hash__`` in a ``_hash`` slot; these tests pin that the
 memo (a) actually short-circuits element hashing, (b) survives the
 frozen-``__setattr__`` guard, and (c) never travels through pickle —

@@ -250,6 +250,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["nonsense"])
 
+    def test_search_choices_follow_the_registries(self, monkeypatch,
+                                                  capsys):
+        # solve and query offer what the solver registers
+        from repro.__main__ import main
+        from repro.core import search
+
+        monkeypatch.setattr(search, "STRATEGIES",
+                            search.STRATEGIES + ("extra",))
+        monkeypatch.setattr(search, "HEURISTICS",
+                            dict(search.HEURISTICS,
+                                 extra=search.HEURISTICS["depth"]))
+        for command in ("solve", "query"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = capsys.readouterr().out
+            assert "{bfs,best-first,iterative-deepening,extra}" in out
+            assert "{depth,rhs-distance,channel-balance,extra}" in out
+            assert "{auto,reference,compiled}" in out
+
 
 class TestTraceCli:
     @pytest.mark.parametrize("example", ["alternating_bit", "dfm"])
