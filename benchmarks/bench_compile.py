@@ -14,11 +14,15 @@ speedup refused unless every observable artifact is bit-identical:
 * the solver cache key (shared entries across engines),
 * conformance-grid schedule fingerprints (the grid conforms against
   ``is_smooth_solution`` and must not notice the engine at all).
+
+An untracked row times the compile itself: a rebuilt catalog dfm's
+first, probed compile against a memoized one.
 """
 
 import gc
 import os
 import time
+from collections import OrderedDict
 
 from conftest import banner, row
 
@@ -160,3 +164,55 @@ def test_grid_schedule_digests_engine_independent(monkeypatch):
     banner("EXT-COMPILE", "grid schedule digests engine-independent")
     row("cells", len(normal.cases))
     row("fingerprints identical", True)
+
+
+def test_rebuilt_network_skips_the_probe(monkeypatch):
+    """Compiling a rebuilt catalog dfm: the first compile probes, a
+    later one finds the pass memoized — and the memoized compile's
+    walk is the reference engine's."""
+    import repro.core.compiled as compiled_mod
+    from repro.processes.merge import make_dfm
+
+    memo = OrderedDict()
+    monkeypatch.setattr(compiled_mod, "_PROBE_PASSES", memo)
+    probes = []
+    probe = compiled_mod._probe_agrees
+
+    def counting(compiled):
+        probes.append(compiled)
+        return probe(compiled)
+
+    monkeypatch.setattr(compiled_mod, "_probe_agrees", counting)
+
+    def compile_rebuilt(forget):
+        """(the rebuilt process's solver, its compile in seconds)"""
+        proto = make_dfm().solver()
+        if forget:
+            memo.clear()
+        started = time.perf_counter()
+        compiled = compiled_mod.compile_description(proto.description,
+                                                    proto.candidates)
+        elapsed = time.perf_counter() - started
+        assert compiled is not None
+        return proto, elapsed
+
+    repeats = 20
+    probed = min(compile_rebuilt(True)[1] for _ in range(repeats))
+    assert len(probes) == repeats
+    memoized = min(compile_rebuilt(False)[1] for _ in range(repeats))
+    assert len(probes) == repeats
+    proto, _ = compile_rebuilt(False)
+    com, ref = (SmoothSolutionSolver(
+        proto.description, proto.candidates,
+        limit_depth=proto.limit_depth, compiled=engine).explore(4)
+        for engine in (True, False))
+    assert com.digest() == ref.digest()
+    assert len(probes) == repeats
+
+    banner("EXT-COMPILE", "compile-time probe once per network "
+                          "(rebuilt catalog dfm)")
+    row(f"dfm compile, first (probed) (us, best-of-{repeats})",
+        round(probed * 1e6, 1))
+    row(f"dfm compile, memoized (us, best-of-{repeats})",
+        round(memoized * 1e6, 1))
+    row("memoized explore(4) digest = reference", True)

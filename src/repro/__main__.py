@@ -942,7 +942,8 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
                             budget_seconds=budget_seconds,
                             resume_from=resume_from)
     print(render_solver_result(result))
-    print(f"result digest {result.digest()}")
+    # a cache hit was hashed once already, when the rebuild checked it
+    print(f"result digest {result.cache_digest or result.digest()}")
     if profiling:
         from repro.obs import hotspots, write_collapsed
         from repro.report import render_hotspots

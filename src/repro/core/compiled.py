@@ -51,11 +51,30 @@ paths on the empty trace and every single-event trace and refuses to
 compile on any disagreement, so a mis-specified ``tuple_face``
 degrades to the slow path instead of a wrong answer.  Side-by-side
 property tests pin the equivalence beyond the probe.
+
+The probe is most of a compile's cost, and its verdict depends only
+on what it reads, so :func:`_probe_passes` remembers a pass (in a
+small LRU) under exactly that: each expression node's exact type; a
+channel's name (``Channel`` equality is by name); a finite constant's
+items; an op and its current ``tuple_face``, both by identity; and
+each candidate's channel name and message, in candidate order.
+Messages and constant items enter by exact type and ``repr``, tuples
+componentwise, which tells ``1`` from ``True`` and ``0.0`` from
+``-0.0``; any other value gives no key, and that compile always
+probes.  No name enters the key — not an op's, not ``expr_key``'s,
+not a digest's — because a name identifies code, not behaviour:
+installing a different face on a shared op changes the key.  So the
+probe runs once per (structure, alphabet) per process, while every
+structural check above runs on every call.  An op whose behaviour
+changes without a new face keeps its remembered pass; the probe is a
+smoke test, and the property tests are the evidence.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from typing import (
     Any,
     Callable,
@@ -385,7 +404,8 @@ def compile_description(description: Description,
     * both sides must lie in the compilable expression fragment and
       agree with the codomain's (product) shape;
     * a probe run over the empty and all single-event traces must
-      match the reference path bit-for-bit.
+      match the reference path bit-for-bit (run once per structure
+      and alphabet: a pass is remembered, see the module docstring).
     """
     events = getattr(candidates, "constant_events", None)
     if events is None:
@@ -438,7 +458,7 @@ def _compile(description: Description,
 
     compiled = CompiledDescription(description, slots, events, lhs,
                                    rhs, leq)
-    if not _probe_agrees(compiled):
+    if not _probe_passes(compiled):
         return None
     return compiled
 
@@ -469,6 +489,101 @@ def _probe_agrees(compiled: CompiledDescription) -> bool:
         # reference path is always available and always right
         return False
     return True
+
+
+#: How many probe passes :func:`_probe_passes` remembers.  A catalog
+#: network compiles against one alphabet, so a few entries serve a
+#: process; the cap keeps structures that never repeat (fair merge
+#: builds new op closures for every description) off the heap.
+_PROBE_MEMO_SIZE = 16
+
+#: probe key -> the ops and faces the key names by ``id``, held so
+#: that no other object can take an id a live key names; least
+#: recently used first
+_PROBE_PASSES: "OrderedDict[tuple, tuple]" = OrderedDict()
+_PROBE_LOCK = threading.Lock()
+
+#: the message and constant types whose ``repr`` fixes the value
+_REPR_KEYED = frozenset((bool, int, float, str, bytes, type(None)))
+
+
+def _probe_passes(compiled: CompiledDescription) -> bool:
+    """:func:`_probe_agrees`, run once per key (:func:`_probe_key`):
+    a remembered pass skips it, a failure is never remembered."""
+    held: List[Any] = []
+    key = _probe_key(compiled, held)
+    if key is not None:
+        try:
+            _PROBE_PASSES.move_to_end(key)  # a hit, and its LRU touch
+            return True
+        except KeyError:
+            pass
+    if not _probe_agrees(compiled):
+        return False
+    if key is not None:
+        with _PROBE_LOCK:
+            _PROBE_PASSES[key] = tuple(held)
+            if len(_PROBE_PASSES) > _PROBE_MEMO_SIZE:
+                _PROBE_PASSES.popitem(last=False)
+    return True
+
+
+def _probe_key(compiled: CompiledDescription,
+               held: List[Any]) -> Optional[tuple]:
+    """Everything :func:`_probe_agrees` reads, as a hashable key: both
+    sides' expression keys and each candidate's channel name and
+    message, in candidate order; ``None`` when some part has no key.
+    Appends the ops and faces the key names by ``id`` to ``held``."""
+    lhs = _expr_key(compiled.description.lhs, held)
+    rhs = _expr_key(compiled.description.rhs, held)
+    if lhs is None or rhs is None:
+        return None
+    alphabet = []
+    for _cid, message, event in compiled.actions:
+        message_key = _value_key(message)
+        if message_key is None:
+            return None
+        alphabet.append((event.channel.name, message_key))
+    return lhs, rhs, tuple(alphabet)
+
+
+def _expr_key(fn: ContinuousFn, held: List[Any]) -> Optional[tuple]:
+    """One expression node as the probe reads it: its exact type, and
+    a channel's name, a finite constant's items, an op and its face by
+    identity, or the component keys; ``None`` outside the fragment."""
+    kind = type(fn)
+    if kind is ChannelFn:
+        return kind, fn.channel.name
+    if kind is ConstFn:
+        if type(fn.value) is not FiniteSeq:
+            return None
+        items = _value_key(fn.value.items)
+        return None if items is None else (kind, items)
+    if kind is OpFn:
+        face = getattr(fn.op, "tuple_face", None)
+        held += (fn.op, face)
+        args = tuple(_expr_key(arg, held) for arg in fn.args)
+        if None in args:
+            return None
+        return kind, id(fn.op), id(face), args
+    if kind is TupleFn:
+        parts = tuple(_expr_key(c, held) for c in fn.components)
+        return None if None in parts else (kind, parts)
+    return None
+
+
+def _value_key(value: Any) -> Optional[tuple]:
+    """A message or constant item by exact type and ``repr``, a tuple
+    componentwise; ``None`` for a value whose ``repr`` need not fix it
+    (any other type, and NaN).  Equality would merge ``1`` with
+    ``True`` and ``0.0`` with ``-0.0``."""
+    kind = type(value)
+    if kind is tuple:
+        parts = tuple(map(_value_key, value))
+        return None if None in parts else (kind, parts)
+    if kind in _REPR_KEYED and value == value:
+        return kind, repr(value)
+    return None
 
 
 # ---------------------------------------------------------------------------

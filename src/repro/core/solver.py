@@ -180,6 +180,13 @@ class SolverResult:
     #: the result digest and the cache payload, so strategies can park
     #: state without perturbing any pinned hash.
     strategy_meta: dict = field(default_factory=dict)
+    #: the stored digest of the cache entry this result was rebuilt
+    #: from, which the rebuild checked equal to :meth:`digest`;
+    #: ``None`` for a walked result.  A snapshot of the rebuilt
+    #: contents, not a cache: :meth:`digest` always hashes the current
+    #: ones, and ``dataclasses.replace`` does not carry it over.
+    cache_digest: Optional[str] = field(default=None, init=False,
+                                        compare=False, repr=False)
 
     def digest(self) -> str:
         """Stable content hash of the exploration's outcome.
@@ -1100,7 +1107,8 @@ class SmoothSolutionSolver:
         re-checks (that would re-run the work the cache is skipping) —
         and then verifies the rebuilt result's digest against the
         stored one, so a drifted generator or an ambiguous ``repr``
-        degrades to a miss, never to a wrong answer.  A constant
+        degrades to a miss, never to a wrong answer; the verified
+        digest rides on the result as ``cache_digest``.  A constant
         alphabet matches every step alike, so it is keyed once and
         each trace is built in one step.
         """
@@ -1139,8 +1147,10 @@ class SmoothSolutionSolver:
             )
         except (KeyError, TypeError, ValueError, LookupError):
             return None
-        if result.digest() != payload.get("digest"):
+        digest = result.digest()
+        if digest != payload.get("digest"):
             return None
+        result.cache_digest = digest
         return result
 
     def _rebuild_trace(self, key: list) -> Trace:

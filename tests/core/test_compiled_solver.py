@@ -157,6 +157,23 @@ class TestCacheParity:
         assert all(id(e) in alphabet for t in rebuilt for e in t)
         assert hit.finite_solutions[0] is Trace.empty()
 
+    def test_hit_carries_its_verified_digest(self, tmp_path):
+        # a snapshot for the caller that prints it, never a cache:
+        # digest() hashes what the result holds now
+        import dataclasses
+
+        from repro.cache.store import CacheStore
+
+        cache = CacheStore(tmp_path)
+        walked = solver(True, cache=cache).explore(3)
+        hit = solver(True, cache=cache).explore(3)
+        assert cache.counters()["hit"] == 1
+        assert walked.cache_digest is None
+        assert hit.cache_digest == walked.digest() == hit.digest()
+        assert dataclasses.replace(hit).cache_digest is None
+        hit.finite_solutions.pop()
+        assert hit.digest() != hit.cache_digest
+
     def test_per_node_generator_hit_matches_step_by_step(self, tmp_path):
         # without a constant alphabet each step is matched against the
         # generator's proposals at the trace built so far

@@ -607,6 +607,32 @@ class TestSolveCli:
         assert main(args) == 0
         assert "hit 1" in capsys.readouterr().out
 
+    def test_cache_hit_hashes_once_and_prints_the_same_digest(
+            self, tmp_path, capsys, monkeypatch):
+        # the rebuild verifies the stored digest; printing reuses it
+        from repro.__main__ import main
+        from repro.core.solver import SolverResult
+
+        args = ["solve", "dfm", "--depth", "3", "--cache",
+                "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        hashed = []
+        digest = SolverResult.digest
+
+        def counting(self):
+            hashed.append(self)
+            return digest(self)
+
+        monkeypatch.setattr(SolverResult, "digest", counting)
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        assert "hit 1" in warm
+        assert len(hashed) == 1
+        printed = [line for line in cold.splitlines()
+                   if line.startswith("result digest")]
+        assert printed and printed[0] in warm.splitlines()
+
 
 class TestGridCacheCli:
     def _grid(self, tmp_path, *extra):
