@@ -1,8 +1,8 @@
 """[EXT] Search strategies and the query layer vs full enumeration.
 
 The ROADMAP's "solver that survives depth" item, cashed in: pluggable
-exploration order (best-first, iterative deepening), duplicate-state
-reduction keyed on the paper's per-channel projections, and a query
+exploration order (best-first), duplicate-state reduction keyed on the
+paper's per-channel projections, and a query
 API that stops at the first witness or counterexample instead of
 enumerating the whole §3.3 tree (see :mod:`repro.core.search`).
 
@@ -63,22 +63,20 @@ def _best_of(fn, repeats=5):
 
 
 def test_strategies_match_bfs_digest():
-    """Correctness bar behind every other row: best-first and
-    iterative deepening (with and without dedup) reproduce the BFS
-    solution-set digest wherever BFS completes, on both engines."""
+    """Correctness bar behind every other row: best-first (with and
+    without dedup) reproduces the BFS solution-set digest wherever BFS
+    completes, on both engines."""
     depth = 5
     base = _solver().explore(depth)
     assert not base.truncated
     checked = 0
-    for strategy in ("best-first", "iterative-deepening"):
-        for compiled in (False, None):
-            for dedup in (False, True):
-                got = _solver(strategy=strategy, compiled=compiled,
-                              dedup=dedup).explore(depth)
-                assert got.digest() == base.digest(), \
-                    (strategy, compiled, dedup)
-                assert got.nodes_explored == base.nodes_explored
-                checked += 1
+    for compiled in (False, None):
+        for dedup in (False, True):
+            got = _solver(strategy="best-first", compiled=compiled,
+                          dedup=dedup).explore(depth)
+            assert got.digest() == base.digest(), (compiled, dedup)
+            assert got.nodes_explored == base.nodes_explored
+            checked += 1
     banner("EXT-SEARCH",
            "exploration order never changes the solution set")
     row("equivalence depth", depth)

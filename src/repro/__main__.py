@@ -888,7 +888,9 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
     with ``--checkpoint-out`` — leaves a pure-JSON checkpoint behind;
     rerunning with ``--resume <ckpt.json>`` continues the Kleene
     chain from the parked nodes and, once nothing is left unvisited,
-    the result digest equals the straight run's.
+    the result digest equals the straight run's.  A checkpoint that
+    cannot be read, or does not fit this run (another depth, limit
+    depth or scenario, a path that is no tree edge), exits 2.
 
     ``--profile`` attaches a tracer and prints the hot-site table
     (where ``f``/``g`` evaluation time goes); ``--profile-json``
@@ -902,12 +904,13 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
     fails loudly when it is unavailable.  All three produce the same
     digests.
 
-    ``--strategy`` picks the exploration order (``bfs``,
-    ``best-first`` with ``--heuristic``, ``iterative-deepening``) and
-    ``--dedup`` turns on duplicate-state reduction; every combination
-    produces the same digests wherever the search completes.
+    ``--strategy`` picks the exploration order (``bfs``, or
+    ``best-first`` with ``--heuristic``) and ``--dedup`` turns on
+    duplicate-state reduction; every combination produces the same
+    digests wherever the search completes.
     """
     from repro.core import SmoothSolutionSolver
+    from repro.obs.replay import ReplayDivergence
     from repro.par import get_scenario
     from repro.report import render_solver_result
 
@@ -938,11 +941,19 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
         print(f"resuming from {resume}: "
               f"{len(resume_from.unvisited)} unvisited node(s), "
               f"{resume_from.nodes_explored} already explored")
-    result = solver.explore(depth, max_nodes=max_nodes,
-                            budget_seconds=budget_seconds,
-                            resume_from=resume_from)
+    try:
+        result = solver.explore(depth, max_nodes=max_nodes,
+                                budget_seconds=budget_seconds,
+                                resume_from=resume_from)
+    except (ValueError, ReplayDivergence) as exc:
+        if resume_from is None:
+            raise
+        # the checkpoint does not fit this run: a usage error, like
+        # an unreadable file, not a truncation
+        print(f"cannot resume from {resume!r}: {exc}", file=sys.stderr)
+        return 2
     print(render_solver_result(result))
-    # a cache hit was hashed once already, when the rebuild checked it
+    # a cache write or a cache hit has hashed the result already
     print(f"result digest {result.cache_digest or result.digest()}")
     if profiling:
         from repro.obs import hotspots, write_collapsed
@@ -976,7 +987,7 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
               budget_seconds: float | None, use_cache: bool,
               cache_dir: str | None, engine: str = "auto",
               strategy: str = "best-first",
-              heuristic: str = "rhs-distance", dedup: bool = False,
+              heuristic: str = "rhs-distance",
               witness_out: str | None = None) -> int:
     """Ask a question about a scenario's smooth solutions instead of
     enumerating them.
@@ -988,10 +999,9 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
     answers under a node budget where ``solve`` truncates.  Exit
     codes: 0 the question holds, 1 it does not, 2 unresolved at this
     budget (or bad arguments, e.g. a predicate's unknown channel).
-    Under ``bfs`` and ``best-first`` the search expands each
-    per-channel projection state once and reports ``projection states
-    explored`` (see :meth:`~repro.core.solver.SmoothSolutionSolver
-    .query`); ``--dedup`` matters only under ``iterative-deepening``.
+    The search expands each per-channel projection state once and
+    reports ``projection states explored`` (see
+    :meth:`~repro.core.solver.SmoothSolutionSolver.query`).
 
     ``--witness-out`` writes the settling trace's replayable schedule
     JSON (the same format ``replay`` understands for solver paths).
@@ -1011,7 +1021,7 @@ def cmd_query(scenario: str, exists: str | None, all_pred: str | None,
     solver = SmoothSolutionSolver.over_channels(
         sc.spec, sc.solve_channels, cache=store,
         compiled=ENGINES[engine], strategy=strategy,
-        heuristic=heuristic, dedup=dedup)
+        heuristic=heuristic)
     try:
         predicate = parse_predicate(text)
         names = [ch.name for ch in sc.solve_channels]
@@ -1336,7 +1346,7 @@ def main(argv: list[str] | None = None) -> int:
         "--heuristic",
         choices=tuple(HEURISTICS),
         default="rhs-distance",
-        help="best-first ranking (ignored by the other strategies)")
+        help="best-first ranking (ignored by bfs)")
     p_solve.add_argument(
         "--dedup", action="store_true",
         help="duplicate-state reduction: share g/limit/expansion "
@@ -1382,12 +1392,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=tuple(HEURISTICS),
         default="rhs-distance",
         help="best-first ranking (default rhs-distance)")
-    p_query.add_argument(
-        "--dedup", action="store_true",
-        help="duplicate-state reduction (see solve --dedup); matters "
-             "only under iterative-deepening, since bfs and "
-             "best-first queries already expand each per-channel "
-             "projection state once")
     p_query.add_argument(
         "--witness-out", default=None, metavar="PATH",
         help="write the witness/counterexample schedule JSON here")
@@ -1445,8 +1449,7 @@ def main(argv: list[str] | None = None) -> int:
                          args.depth, args.max_nodes,
                          args.budget_seconds, args.cache,
                          args.cache_dir, args.engine, args.strategy,
-                         args.heuristic, args.dedup,
-                         args.witness_out)
+                         args.heuristic, args.witness_out)
     dispatch = {
         "summary": cmd_summary,
         "dfm": cmd_dfm,

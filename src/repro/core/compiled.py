@@ -606,23 +606,31 @@ def decide_smooth_solution(description: Description, trace: Trace,
     is what ``eq_upto`` comes to on finite values at any depth.
 
     Returns ``None`` — the caller then answers by the reference
-    check — for a trace not known finite, a negative depth, an
-    unhashable message, anything :func:`compile_description` refuses
-    (a subclassed description, an opaque side, a probe disagreement)
-    and a :class:`CompiledEvalError` during the walk.
+    check — for a trace not known finite, a negative depth, a message
+    :func:`_value_key` gives no key, anything
+    :func:`compile_description` refuses (a subclassed description, an
+    opaque side, a probe disagreement) and a
+    :class:`CompiledEvalError` during the walk.
     """
     n = trace.known_length()
     if n is None or depth < 0:
         return None
     # each event's slot among the distinct events, which are also
-    # the compiled actions in order: one hash per event
+    # the compiled actions in order.  Events are told apart by channel
+    # and exact message (``_value_key``): ``Event`` equality would
+    # give ``(c, 1)`` and ``(c, True)`` one slot.
     index: dict = {}
-    try:
-        slots = [index.setdefault(event, len(index))
-                 for event in trace.events.take(n).items]
-    except TypeError:
-        return None  # unhashable message
-    compiled = _compile(description, index)
+    events: list = []
+    slots = []
+    for event in trace.events.take(n).items:
+        message = _value_key(event.message)
+        if message is None:
+            return None
+        slot = index.setdefault((event.channel, message), len(events))
+        if slot == len(events):
+            events.append(event)
+        slots.append(slot)
+    compiled = _compile(description, events)
     if compiled is None:
         return None
     actions = compiled.actions

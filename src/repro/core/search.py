@@ -130,7 +130,7 @@ HEURISTICS: Dict[str, Heuristic] = {
 }
 
 #: Exploration orders the solver understands.
-STRATEGIES = ("bfs", "best-first", "iterative-deepening")
+STRATEGIES = ("bfs", "best-first")
 
 
 def get_heuristic(name: str) -> Heuristic:

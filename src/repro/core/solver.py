@@ -174,17 +174,19 @@ class SolverResult:
     #: otherwise.  Counters are deterministic, the ns columns are
     #: wall-clock — neither enters the digest or the cache payload.
     profile: dict = field(default_factory=dict)
-    #: strategy-private resume state (e.g. the iterative-deepening
-    #: iteration counter and tested-node marks).  Carried into
+    #: walk-private resume state: ``{"graph": "states"}`` when the
+    #: walk expanded the projection-state graph (see
+    #: :meth:`SmoothSolutionSolver.query`), else empty.  Carried into
     #: :meth:`checkpoint` as the checkpoint ``meta`` — outside both
-    #: the result digest and the cache payload, so strategies can park
-    #: state without perturbing any pinned hash.
+    #: the result digest and the cache payload, so no pinned hash
+    #: moves with it.
     strategy_meta: dict = field(default_factory=dict)
-    #: the stored digest of the cache entry this result was rebuilt
-    #: from, which the rebuild checked equal to :meth:`digest`;
-    #: ``None`` for a walked result.  A snapshot of the rebuilt
-    #: contents, not a cache: :meth:`digest` always hashes the current
-    #: ones, and ``dataclasses.replace`` does not carry it over.
+    #: the digest of the cache entry written from, or rebuilt into,
+    #: this result (a rebuild checks the stored digest equal to
+    #: :meth:`digest`); ``None`` when no cache entry was written or
+    #: read.  A snapshot of the contents at that moment, not a cache:
+    #: :meth:`digest` always hashes the current ones, and
+    #: ``dataclasses.replace`` does not carry it over.
     cache_digest: Optional[str] = field(default=None, init=False,
                                         compare=False, repr=False)
 
@@ -330,11 +332,11 @@ class SmoothSolutionSolver:
         #: reference path; ``True`` demands compilation and makes
         #: :meth:`explore` raise if it is unavailable.
         self.compiled = compiled
-        #: exploration order: ``"bfs"`` (the reference order),
+        #: exploration order: ``"bfs"`` (the reference order) or
         #: ``"best-first"`` (priority frontier ranked by
-        #: ``heuristic``) or ``"iterative-deepening"``.  Strategies
-        #: reorder the walk, never the admissibility or limit tests,
-        #: so completed runs are digest-identical across strategies.
+        #: ``heuristic``).  Strategies reorder the walk, never the
+        #: admissibility or limit tests, so completed runs are
+        #: digest-identical across strategies.
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; known: "
@@ -470,12 +472,9 @@ class SmoothSolutionSolver:
         candidate's admissibility test), the left side ``f(u)`` is
         carried over from the parent's admissibility scan (each node
         was once a candidate), and the limit condition is checked
-        exactly once.  Iterative deepening is the exception for
-        ``g``: it re-derives the children of every interior node it
-        re-walks, so dfm at depth 4 makes 3,071 ``g`` calls for 2,659
-        nodes.  The frontier-extendability probe at the depth bound
-        short-circuits at the first admissible candidate instead of
-        re-running the full scan.
+        exactly once.  The frontier-extendability probe at the depth
+        bound short-circuits at the first admissible candidate instead
+        of re-running the full scan.
 
         When the description and candidate generator lie in the
         compilable finite fragment (see :mod:`repro.core.compiled`),
@@ -582,13 +581,13 @@ class SmoothSolutionSolver:
 
     def _walk(self, engine, result: SolverResult,
               run: "_Run") -> SolverResult:
-        """Seed ``engine``, run the strategy's walk over it inside the
+        """Seed ``engine``, run the walk over it inside the
         ``solver.explore`` span, and finish the run.
 
         Cost attribution, duplicate-state reduction and the
         projection-state graph wrap the engine here
         (:class:`_ProfiledEngine`, :class:`_DedupEngine`,
-        :class:`_StateGraphEngine`), so neither walk carries code for
+        :class:`_StateGraphEngine`), so the walk carries no code for
         them.  A watch publishing ``state_graph = True`` (see
         :meth:`query`) asks for the state graph; the result then holds
         one trace per projection state and says so in
@@ -610,12 +609,7 @@ class SmoothSolutionSolver:
                          max_nodes=run.max_nodes,
                          resumed=run.resume_from is not None,
                          limit_depth=self.limit_depth) as root:
-            if self.strategy == "iterative-deepening":
-                session = self._explore_deepening(
-                    engine, result, seeds, checkpoint, run)
-            else:
-                session = self._explore_ordered(engine, result, seeds,
-                                                run)
+            session = self._explore_ordered(engine, result, seeds, run)
             result.nodes_explored = session + (
                 0 if checkpoint is None else checkpoint.nodes_explored)
             root.annotate(nodes=result.nodes_explored,
@@ -665,8 +659,10 @@ class SmoothSolutionSolver:
         profile."""
         tracer = self.tracer
         if run.cache_key is not None and self._cacheable(result):
+            payload = result.to_payload()
+            result.cache_digest = payload["digest"]
             _timed(run.metrics, "cache.put", self.cache.put, "solver",
-                   run.cache_key, result.to_payload())
+                   run.cache_key, payload)
             if tracer.enabled:
                 tracer.event(
                     "cache.write", category="cache", track="solver",
@@ -691,10 +687,9 @@ class SmoothSolutionSolver:
         deterministic); wall-clock truncations are not — where the
         clock fires depends on the machine, not the inputs.  Query
         early-exits are not either — the predicate is not part of the
-        key.  Results carrying strategy-private resume state
-        (``strategy_meta``) stay out too: the cache payload cannot
-        round-trip the meta, and a resume without it would
-        double-classify nodes."""
+        key.  Results carrying ``strategy_meta`` stay out too: a
+        state-graph walk holds one trace per projection state, not
+        the tree's nodes."""
         if result.strategy_meta:
             return False
         return not (result.truncated
@@ -768,8 +763,8 @@ class SmoothSolutionSolver:
 
     def _explore_ordered(self, engine, result: SolverResult,
                          seeds: list, run: "_Run") -> int:
-        """The §3.3 walk for ``bfs`` and ``best-first``, over either
-        engine; returns the number of nodes it explored.
+        """The §3.3 walk, over either engine; returns the number of
+        nodes it explored.
 
         The tree is fixed by admissibility, so the strategy only
         decides which frontier node is popped next.  With the
@@ -917,125 +912,6 @@ class SmoothSolutionSolver:
             run.metrics.counter(label + ".popped").inc(session)
         return session
 
-    def _explore_deepening(self, engine, result: SolverResult,
-                           seeds: list, checkpoint,
-                           run: "_Run") -> int:
-        """Iterative deepening over either engine; returns the number
-        of nodes it goal-tested.
-
-        Iteration ``L`` walks depth-first from the persistent seeds
-        (the root, or a checkpoint's parked nodes) and *goal-tests* —
-        evaluates ``g``, checks the limit condition, classifies,
-        counts — exactly the nodes at depth ``L``; shallower nodes are
-        re-expanded as interior rework (uncounted, so
-        ``nodes_explored`` equals the BFS count and completed-run
-        digests match BFS exactly).  The memory footprint is one DFS
-        stack instead of a whole BFS level.
-
-        A budget truncation parks the DFS residue plus this
-        iteration's already-tested still-extendable nodes; the latter
-        are marked in ``strategy_meta["tested"]`` (with the iteration
-        number) so a resume — which must itself use
-        iterative-deepening, enforced at checkpoint validation —
-        treats them as interior-only and never re-classifies them.
-        Checkpoints parked by BFS/best-first carry only untested
-        nodes, so this loop resumes them from their shallowest depth.
-        """
-        tracer = self.tracer
-        tracing = tracer.enabled
-        max_depth, max_nodes = run.max_depth, run.max_nodes
-        deadline, watch = run.deadline, run.watch
-        every_node = getattr(watch, "every_node", False)
-        g, limit_fn, edges = engine.g, engine.limit, engine.edges
-        probe, trace_of = engine.probe, engine.trace
-        meta = {} if checkpoint is None else checkpoint.meta
-        tested = {tuple(map(tuple, key)) for key in meta.get("tested", [])}
-        # persistent seeds: (depth, node, fu, tested); each iteration
-        # restarts its DFS from here (classic deepening rework)
-        marked = [(d, node, fu,
-                   tuple(map(tuple, _trace_key(trace_of(node)))) in tested)
-                  for d, node, fu in seeds]
-        start = int(meta.get("iteration",
-                             min((d for d, *_ in seeds), default=0)))
-        session = rework = 0
-        for iteration in range(start, max_depth + 1):
-            alive: list = []      # tested this iteration, extendable
-            held: list = []       # seeds sitting this iteration out
-            stack: list = []
-            for seed in marked:
-                d, node, fu, was_tested = seed
-                if d > iteration or (was_tested and d == iteration):
-                    held.append(seed)
-                else:
-                    stack.append((d, node, fu))
-            stack.reverse()
-            stop = ""
-            while stack:
-                d, node, fu = stack.pop()
-                if d < iteration:
-                    # interior rework: re-derive the children on the
-                    # way down to this iteration's depth
-                    rework += 1
-                    kids = edges(node, fu, g(node))
-                    stack.extend((d + 1, child, fv)
-                                 for child, fv in reversed(kids))
-                    continue
-                if session >= max_nodes or (
-                        deadline is not None
-                        and time.monotonic() > deadline):
-                    stack.append((d, node, fu))
-                    stop = _budget_reason(session, run, iteration)
-                    break
-                session += 1
-                gu = g(node)
-                limit = limit_fn(node, fu, gu)
-                trace = trace_of(node)
-                if limit:
-                    result.finite_solutions.append(trace)
-                    if tracing:
-                        tracer.event(
-                            "solver.accept", category="solver",
-                            track="solver", node=repr(trace), depth=d)
-                if iteration < max_depth:
-                    if edges(node, fu, gu):
-                        alive.append((d, node, fu))
-                    elif not limit:
-                        result.dead_ends.append(trace)
-                        if tracing:
-                            tracer.event(
-                                "solver.dead_end", category="solver",
-                                track="solver", node=repr(trace),
-                                depth=d)
-                elif probe(node, fu, gu)[0]:
-                    result.frontier.append(trace)
-                elif not limit:
-                    result.dead_ends.append(trace)
-                if (limit or every_node) and watch is not None:
-                    stop = watch(trace)
-                    if stop:
-                        break
-            if stop:
-                parked = ([(node, False) for _d, node, _fu in stack]
-                          + [(node, True) for _d, node, _fu in alive]
-                          + [(node, t) for _d, node, _fu, t in held])
-                traces = [trace_of(node) for node, _t in parked]
-                self._park(result, stop, traces)
-                result.strategy_meta = {
-                    "strategy": "iterative-deepening",
-                    "iteration": iteration,
-                    "tested": [_trace_key(trace) for trace, (_n, t)
-                               in zip(traces, parked) if t],
-                }
-                break
-            if not alive and not held:
-                # no deeper nodes exist and no seed waits for a later
-                # iteration: the tree is exhausted
-                break
-        if rework and tracing:
-            run.metrics.counter(
-                "solver.strategy.iterative-deepening.rework").inc(rework)
-        return session
-
     # -- checkpoint / resume --------------------------------------------------
 
     @staticmethod
@@ -1080,16 +956,12 @@ class SmoothSolutionSolver:
                 f"checkpoint is of description "
                 f"{checkpoint.description!r}, this solver explores "
                 f"{mine!r}")
-        parked_by = checkpoint.meta.get("strategy", "")
-        if parked_by == "iterative-deepening" and \
-                self.strategy != "iterative-deepening":
-            # a deepening checkpoint parks nodes whose limit condition
-            # was already checked (marked in meta); any other strategy
-            # would re-classify them and double-count
+        if checkpoint.meta.get("strategy") == "iterative-deepening":
             raise ValueError(
                 "checkpoint was parked by an iterative-deepening "
-                f"exploration and must be resumed with it (this "
-                f"solver uses strategy {self.strategy!r})")
+                "exploration, which this version no longer runs; its "
+                "parked nodes include classified ones, so it cannot "
+                "be resumed")
         if checkpoint.meta.get("graph") == "states" and not states:
             raise ValueError(
                 "checkpoint was parked by a query over the "
@@ -1266,22 +1138,16 @@ class SmoothSolutionSolver:
         tell the two apart: the predicate is textual (every clause
         of the grammar reads per-channel projections only; a
         callable may read event order, so it keeps the tree walk),
-        the strategy is ``bfs`` or ``best-first``, the description is
-        :meth:`_projection_factored` and the candidate generator
-        publishes ``constant_events``.  Wherever the tree walk
-        settles the question, the state graph settles it with the
-        same answer and witness; ``nodes_explored`` then counts
-        states and ``meta["graph"]`` is ``"states"`` (else
-        ``"tree"``).
-        Iterative deepening keeps the tree walk: it re-walks interior
-        nodes, which a visited set would cut off.  ``dedup`` then
-        matters only under iterative deepening.  A state-graph result
-        is never written to the cache (a complete tree result already
-        there still answers), and only a state-graph query resumes
-        its checkpoint.
+        the description is :meth:`_projection_factored` and the
+        candidate generator publishes ``constant_events``.  Wherever
+        the tree walk settles the question, the state graph settles
+        it with the same answer and witness; ``nodes_explored`` then
+        counts states and ``meta["graph"]`` is ``"states"`` (else
+        ``"tree"``).  A state-graph result is never written to the
+        cache (a complete tree result already there still answers),
+        and only a state-graph query resumes its checkpoint.
         """
         states = (isinstance(predicate, str)
-                  and self.strategy in ("bfs", "best-first")
                   and self._projection_factored()
                   and getattr(self.candidates, "constant_events", None)
                   is not None)
@@ -1341,7 +1207,7 @@ class SmoothSolutionSolver:
 
 class _Run(NamedTuple):
     """One :meth:`SmoothSolutionSolver.explore` call's bounds and
-    instruments, as the walks see them."""
+    instruments, as the walk sees them."""
 
     max_depth: int
     max_nodes: int
@@ -1440,7 +1306,7 @@ class _LevelLog:
 
 
 class _ReferenceEngine:
-    """The walks' view of the reference representation.
+    """The walk's view of the reference representation.
 
     Nodes are live :class:`Trace` objects; values are whatever the
     description's sides produce.  Both engines answer the same calls:
@@ -1537,7 +1403,7 @@ class _ReferenceEngine:
 
 
 class _CompiledEngine:
-    """The walks' view of :mod:`repro.core.compiled`'s representation
+    """The walk's view of :mod:`repro.core.compiled`'s representation
     (same calls as :class:`_ReferenceEngine`).
 
     A node is ``(events, env, parent g, cid)``:
@@ -1781,9 +1647,9 @@ class _StateGraphEngine:
     already, so each state is expanded once, by the first node the
     walk's order reaches it with.  That node's parent was itself the
     first of its state, so its trace is a tree path that
-    :meth:`SmoothSolutionSolver.replay_witness` replays, and under
-    ``bfs`` and ``best-first`` the walk pops the first nodes of the
-    tree walk's states in the tree walk's order.  A keyless node
+    :meth:`SmoothSolutionSolver.replay_witness` replays, and the walk
+    pops the first nodes of the tree walk's states in the tree walk's
+    order.  A keyless node
     (``env_key`` is ``None``) always passes.  Traced runs count the
     dropped children as ``solver.states.revisits``.
     """
@@ -1888,8 +1754,7 @@ def solve_query(description: Description,
     benchmark pins as expanding measurably fewer nodes than ``solve``.
     A textual predicate over a projection-factored description is
     answered on the projection-state graph, one node per per-channel
-    projection state, so ``dedup`` matters only under
-    ``iterative-deepening``.
+    projection state, where ``dedup`` has nothing left to share.
     """
     solver = SmoothSolutionSolver.over_channels(
         description, channels, limit_depth=limit_depth, tracer=tracer,

@@ -91,12 +91,6 @@ def source_agent(channel: Channel,
         yield Send(channel, message)
 
 
-def sink_agent(channel: Channel) -> AgentBody:
-    """Consume everything on a channel (an environment stub)."""
-    while True:
-        yield Recv(channel)
-
-
 def brock_a_agent(b: Channel, c: Channel,
                   stored: tuple[int, ...] = (0, 2)) -> AgentBody:
     """Process A of §2.4: fair-merge the input ``b`` with the internally

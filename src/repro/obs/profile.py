@@ -14,10 +14,7 @@ This module is that evidence, in two halves:
   keeps beside them.  The *counts* are deterministic — they must
   agree with the evaluation counts pinned by
   ``tests/core/test_solver_memo.py``: one limit check per node, ``f``
-  once per proposed candidate, and one ``g`` per node on the ordered
-  walks.  Iterative deepening evaluates ``g`` again, and re-proposes
-  the children, at every interior node it re-walks: dfm at depth 4
-  makes 3,071 ``rhs.apply`` calls for 2,659 nodes.  The nanosecond
+  once per proposed candidate, and one ``g`` per node.  The nanosecond
   columns are wall-clock and never enter any digest.  Only a traced
   :meth:`SmoothSolutionSolver.explore` has a registry to read;
   ``NULL_TRACER`` runs never allocate one.  :func:`hotspots` ranks
@@ -38,8 +35,8 @@ SITE_ORDER = ("compile.build", "rhs.apply", "lhs.apply.expand",
               "lhs.apply.probe", "lhs.apply.root", "limit_report",
               "cache.get", "cache.put")
 
-#: The counters of untimed walk events (strategy pushes/pops,
-#: deepening rework, dedup states and hits, state-graph revisits).
+#: The counters of untimed walk events (strategy pushes/pops, dedup
+#: states and hits, state-graph revisits).
 _EVENT_COUNTERS = ("solver.strategy.", "solver.dedup.", "solver.states.")
 
 _SITE = "solver.site."

@@ -168,7 +168,7 @@ class TestCacheParity:
         walked = solver(True, cache=cache).explore(3)
         hit = solver(True, cache=cache).explore(3)
         assert cache.counters()["hit"] == 1
-        assert walked.cache_digest is None
+        assert walked.cache_digest == walked.digest()
         assert hit.cache_digest == walked.digest() == hit.digest()
         assert dataclasses.replace(hit).cache_digest is None
         hit.finite_solutions.pop()

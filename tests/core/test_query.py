@@ -47,7 +47,7 @@ class TestAgreesWithEnumerateThenFilter:
                     else len(matching)
                     == len(enumerated.finite_solutions))
 
-        for strategy in ("bfs", "best-first", "iterative-deepening"):
+        for strategy in ("bfs", "best-first"):
             for compiled in (False, None):
                 answer = dfm_solver(
                     strategy=strategy,

@@ -4,7 +4,7 @@ The profile is a view of the traced solver's metrics summary.  Its
 *counters* are deterministic — they must agree with the
 evaluation-count discipline pinned by ``tests/core/test_solver_memo.py``
 (one limit check per node, ``f`` once per proposed candidate, one
-``g`` per node outside iterative deepening's rework) — while the
+``g`` per node) — while the
 nanosecond columns are wall-clock and never compared.  The disabled
 path is the pre-existing hot path: an untraced ``explore`` allocates
 no registry and no profile at all.
@@ -168,8 +168,7 @@ class TestSolverProfileView:
     ``result.metrics``: every count it shows is a registry counter."""
 
     @pytest.mark.parametrize("dedup", [False, True])
-    @pytest.mark.parametrize(
-        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
     def test_view_agrees_with_registry(self, strategy, dedup):
         result = traced_solver(strategy, dedup).explore(4)
         metrics, prof = result.metrics, result.profile
@@ -267,24 +266,6 @@ PINNED = {
          "strategy.best-first.popped": 90,
          "strategy.best-first.pushed": 365},
         649, 286, []),
-    ("iterative-deepening", False, None): (
-        (1, 3071, 2659, 9204, 2304),
-        {"strategy.iterative-deepening.rework": 412},
-        11509, 3071, []),
-    ("iterative-deepening", False, 90): (
-        (1, 106, 90, 1272, 0),
-        {"strategy.iterative-deepening.rework": 16},
-        1273, 106, []),
-    ("iterative-deepening", True, None): (
-        (1, 787, 787, 2208, 603),
-        {"dedup.hits": 6440, "dedup.states": 787,
-         "strategy.iterative-deepening.rework": 412},
-        2812, 787, []),
-    ("iterative-deepening", True, 90): (
-        (1, 72, 72, 864, 0),
-        {"dedup.hits": 86, "dedup.states": 72,
-         "strategy.iterative-deepening.rework": 16},
-        865, 72, []),
 }
 _LEVEL_KEYS = ("depth", "width", "proposed", "pruned", "expanded",
                "accepted", "dead_ends")
@@ -298,8 +279,7 @@ class TestPinnedProfile:
     @pytest.mark.parametrize("compiled", [False, None])
     @pytest.mark.parametrize("max_nodes", [None, 90])
     @pytest.mark.parametrize("dedup", [False, True])
-    @pytest.mark.parametrize(
-        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
     def test_counts_match_the_pins(self, strategy, dedup, max_nodes,
                                    compiled):
         solver = traced_solver(strategy, dedup, compiled)
@@ -420,8 +400,7 @@ class TestProfileEngineParity:
 
     @pytest.mark.parametrize("max_nodes", [200_000, 90])
     @pytest.mark.parametrize("dedup", [False, True])
-    @pytest.mark.parametrize(
-        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
     def test_counts_and_counters_equal_across_engines(
             self, strategy, dedup, max_nodes):
         reference = self.profile(False, strategy, dedup, max_nodes)

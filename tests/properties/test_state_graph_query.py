@@ -239,7 +239,3 @@ class TestTreeWalkKept:
 
         solver = SmoothSolutionSolver(description, candidates)
         self.assert_tree_walk(solver)
-
-    def test_iterative_deepening(self):
-        self.assert_tree_walk(
-            solver_for("dfm", strategy="iterative-deepening"))

@@ -3,8 +3,8 @@
 Randomized over depth, node budget, strategy, heuristic, engine and
 dedup, on both registered scenarios:
 
-* wherever BFS completes, best-first and iterative-deepening produce
-  the identical solution-set digest (the tentpole's correctness bar);
+* wherever BFS completes, best-first produces the identical
+  solution-set digest;
 * truncate → checkpoint → resume is digest-equal to the straight run
   for every strategy, not just the BFS loop PR 5 pinned;
 * queries agree with enumerate-then-filter under every configuration.
@@ -30,8 +30,7 @@ def solver_for(scenario: str, **kwargs) -> SmoothSolutionSolver:
 
 
 configs = st.fixed_dictionaries({
-    "strategy": st.sampled_from(
-        ("bfs", "best-first", "iterative-deepening")),
+    "strategy": st.sampled_from(("bfs", "best-first")),
     "heuristic": st.sampled_from(
         ("depth", "rhs-distance", "channel-balance")),
     "compiled": st.sampled_from((False, None)),

@@ -116,8 +116,7 @@ class TestParityWithTheReferenceWalk:
 
     @pytest.mark.parametrize("dedup", [False, True],
                              ids=["nodedup", "dedup"])
-    @pytest.mark.parametrize(
-        "strategy", ["bfs", "best-first", "iterative-deepening"])
+    @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_checks_agree_with_the_reference_walk(self, name, engine,

@@ -265,7 +265,7 @@ class TestCli:
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             out = capsys.readouterr().out
-            assert "{bfs,best-first,iterative-deepening,extra}" in out
+            assert "{bfs,best-first,extra}" in out
             assert "{depth,rhs-distance,channel-balance,extra}" in out
             assert "{auto,reference,compiled}" in out
 
@@ -597,6 +597,34 @@ class TestSolveCli:
         assert main(["solve", "dfm", "--resume", str(bad)]) == 2
         assert "version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth,meta,reason", [
+        ("5", None, "taken at depth 4"),
+        ("4", {"strategy": "iterative-deepening", "iteration": 3,
+               "tested": []}, "iterative-deepening"),
+    ], ids=["other-depth", "deepening"])
+    def test_checkpoint_that_does_not_fit_exits_two(
+            self, tmp_path, capsys, depth, meta, reason):
+        # a usage error, like an unreadable file: the reason on
+        # stderr and exit 2, not a traceback and the truncation code
+        import json
+
+        from repro.__main__ import main
+
+        ck = tmp_path / "ck.json"
+        assert main(["solve", "dfm", "--depth", "4",
+                     "--max-nodes", "25",
+                     "--checkpoint-out", str(ck)]) == 1
+        if meta is not None:
+            doc = json.loads(ck.read_text(encoding="utf-8"))
+            doc["meta"] = meta
+            ck.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["solve", "dfm", "--depth", depth,
+                     "--resume", str(ck)]) == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "Traceback" not in err
+
     def test_solver_cache_round_trip(self, tmp_path, capsys):
         from repro.__main__ import main
 
@@ -609,14 +637,13 @@ class TestSolveCli:
 
     def test_cache_hit_hashes_once_and_prints_the_same_digest(
             self, tmp_path, capsys, monkeypatch):
-        # the rebuild verifies the stored digest; printing reuses it
+        # the cache write hashes the cold result and the rebuild
+        # verifies the stored digest; printing reuses either
         from repro.__main__ import main
         from repro.core.solver import SolverResult
 
         args = ["solve", "dfm", "--depth", "3", "--cache",
                 "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        cold = capsys.readouterr().out
         hashed = []
         digest = SolverResult.digest
 
@@ -625,6 +652,11 @@ class TestSolveCli:
             return digest(self)
 
         monkeypatch.setattr(SolverResult, "digest", counting)
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert "miss 1, write 1" in cold
+        assert len(hashed) == 1
+        hashed.clear()
         assert main(args) == 0
         warm = capsys.readouterr().out
         assert "hit 1" in warm
