@@ -1,10 +1,10 @@
 """[EXT] Search strategies and the query layer vs full enumeration.
 
 The ROADMAP's "solver that survives depth" item, cashed in: pluggable
-exploration order (best-first), duplicate-state reduction keyed on the
-paper's per-channel projections, and a query
-API that stops at the first witness or counterexample instead of
-enumerating the whole §3.3 tree (see :mod:`repro.core.search`).
+exploration order (best-first) and a query API that stops at the first
+witness or counterexample instead of enumerating the whole §3.3 tree
+(see :mod:`repro.core.search`), walking the graph of the paper's
+per-channel projection states where the question allows.
 
 The speedup rows are refused unless the correctness bar holds: every
 strategy's solution-set digest equals BFS wherever BFS completes, and
@@ -63,24 +63,23 @@ def _best_of(fn, repeats=5):
 
 
 def test_strategies_match_bfs_digest():
-    """Correctness bar behind every other row: best-first (with and
-    without dedup) reproduces the BFS solution-set digest wherever BFS
-    completes, on both engines."""
+    """Correctness bar behind every other row: best-first reproduces
+    the BFS solution-set digest wherever BFS completes, on both
+    engines."""
     depth = 5
     base = _solver().explore(depth)
     assert not base.truncated
     checked = 0
     for compiled in (False, None):
-        for dedup in (False, True):
-            got = _solver(strategy="best-first", compiled=compiled,
-                          dedup=dedup).explore(depth)
-            assert got.digest() == base.digest(), (compiled, dedup)
-            assert got.nodes_explored == base.nodes_explored
-            checked += 1
+        got = _solver(strategy="best-first",
+                      compiled=compiled).explore(depth)
+        assert got.digest() == base.digest(), compiled
+        assert got.nodes_explored == base.nodes_explored
+        checked += 1
     banner("EXT-SEARCH",
            "exploration order never changes the solution set")
     row("equivalence depth", depth)
-    row("strategy/engine/dedup combos digest-equal", checked)
+    row("strategy/engine combos digest-equal", checked)
 
 
 def test_query_answers_where_enumeration_truncates(benchmark):
@@ -164,24 +163,3 @@ def test_state_graph_full_enumeration():
     row("state-graph ms", round(graph_s * 1e3, 2))
     row("tree-walk ms", round(tree_s * 1e3, 2))
     row("state-graph speedup", round(tree_s / graph_s, 2))
-
-
-def test_dedup_counters_and_strategy_metrics():
-    """Duplicate-state reduction shares evaluation work on dfm's
-    converging traces without dropping a single solution, and the
-    per-strategy counters land in the profile."""
-    from repro.obs import RingBufferSink, Tracer
-
-    depth = 5
-    base = _solver().explore(depth)
-    tracer = Tracer([RingBufferSink(capacity=200_000)])
-    got = _solver(strategy="best-first", dedup=True, compiled=False,
-                  tracer=tracer).explore(depth)
-    assert got.digest() == base.digest()
-    counters = got.profile["counters"]
-    assert counters["dedup.states"] < got.nodes_explored
-    banner("EXT-SEARCH", "duplicate-state reduction on dfm")
-    row("nodes explored", got.nodes_explored)
-    row("distinct projection states", counters["dedup.states"])
-    row("dedup hits", counters["dedup.hits"])
-    row("solutions dropped", 0)

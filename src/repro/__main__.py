@@ -880,8 +880,7 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
               profile_folded: str | None = None,
               engine: str = "auto",
               strategy: str = "bfs",
-              heuristic: str = "rhs-distance",
-              dedup: bool = False) -> int:
+              heuristic: str = "rhs-distance") -> int:
     """Run the §3.3 solver on a scenario's specification.
 
     A truncated exploration (node or wall-clock budget) exits 1 and —
@@ -905,9 +904,8 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
     digests.
 
     ``--strategy`` picks the exploration order (``bfs``, or
-    ``best-first`` with ``--heuristic``) and ``--dedup`` turns on
-    duplicate-state reduction; every combination produces the same
-    digests wherever the search completes.
+    ``best-first`` with ``--heuristic``); every combination produces
+    the same digests wherever the search completes.
     """
     from repro.core import SmoothSolutionSolver
     from repro.obs.replay import ReplayDivergence
@@ -927,7 +925,7 @@ def cmd_solve(scenario: str, depth: int, max_nodes: int,
     solver = SmoothSolutionSolver.over_channels(
         sc.spec, sc.solve_channels, cache=store, tracer=tracer,
         compiled=ENGINES[engine], strategy=strategy,
-        heuristic=heuristic, dedup=dedup)
+        heuristic=heuristic)
     resume_from = None
     if resume:
         from repro.cache import SolverCheckpoint
@@ -1347,10 +1345,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=tuple(HEURISTICS),
         default="rhs-distance",
         help="best-first ranking (ignored by bfs)")
-    p_solve.add_argument(
-        "--dedup", action="store_true",
-        help="duplicate-state reduction: share g/limit/expansion "
-             "work between traces with equal per-channel projections")
     _add_cache_options(p_solve)
 
     p_query = sub.add_parser(
@@ -1443,7 +1437,7 @@ def main(argv: list[str] | None = None) -> int:
                          args.cache_dir, args.fsync,
                          args.profile, args.profile_json,
                          args.profile_folded, args.engine,
-                         args.strategy, args.heuristic, args.dedup)
+                         args.strategy, args.heuristic)
     if args.command == "query":
         return cmd_query(args.scenario, args.exists, args.all_pred,
                          args.depth, args.max_nodes,

@@ -424,8 +424,7 @@ def _compile(description: Description,
         return None
     events = tuple(events)
     try:
-        # environments are hashed: they are the dedup memo's and the
-        # state graph's keys
+        # environments are hashed: they are the state graph's keys
         hash(tuple(e.message for e in events))
     except TypeError:
         return None

@@ -7,10 +7,10 @@ solution set.  This module holds the pieces of the escape hatch:
 
 * **Ranking heuristics** for best-first exploration.  A heuristic maps
   a node's cheap features (depth, per-component value lengths of
-  ``f(u)``/``g(u)``, per-channel event counts) to a rank; the solver
-  pops the lowest rank first.  Ranks only *reorder* the exploration —
-  admissibility and classification are untouched — so a completed
-  best-first run finds exactly the BFS solution set (pinned by
+  ``f(u)``/``g(u)``) to a rank; the solver pops the lowest rank
+  first.  Ranks only *reorder* the exploration — admissibility and
+  classification are untouched — so a completed best-first run finds
+  exactly the BFS solution set (pinned by
   ``tests/properties/test_strategy_equivalence.py``).
 
 * **Predicates** over finite traces, with a tiny textual form so the
@@ -23,11 +23,10 @@ solution set.  This module holds the pieces of the escape hatch:
   certificate (see :meth:`SmoothSolutionSolver.witness_schedule`).
 
 Heuristic features are deliberately engine-neutral: the compiled
-engine computes lengths from flat tuples and counts from the
-per-channel environment, the reference engine from ``Seq``/``Trace``
-values — both land on the same integers, so the two engines pop nodes
-in the same order and even *truncated* best-first runs agree
-bit-for-bit.
+engine computes lengths from flat tuples, the reference engine from
+``Seq``/``Trace`` values — both land on the same integers, so the two
+engines pop nodes in the same order and even *truncated* best-first
+runs agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -93,28 +92,22 @@ def rhs_distance(f_lens: Tuple[int, ...],
 class Heuristic:
     """A node-ranking rule for best-first exploration.
 
-    ``fn(depth, f_lens, g_lens, counts)`` returns the rank (lower pops
-    first).  ``needs_values`` / ``needs_counts`` tell the solver which
-    features to bother extracting.
+    ``fn(depth, f_lens, g_lens)`` returns the rank (lower pops
+    first).  ``needs_values`` tells the solver whether to bother
+    extracting the value lengths.
     """
 
     name: str
-    fn: Callable[[int, Tuple[int, ...], Tuple[int, ...],
-                  Tuple[int, ...]], int]
+    fn: Callable[[int, Tuple[int, ...], Tuple[int, ...]], int]
     needs_values: bool = False
-    needs_counts: bool = False
 
 
-def _rank_depth(depth, f_lens, g_lens, counts):
+def _rank_depth(depth, f_lens, g_lens):
     return depth
 
 
-def _rank_rhs_distance(depth, f_lens, g_lens, counts):
+def _rank_rhs_distance(depth, f_lens, g_lens):
     return rhs_distance(f_lens, g_lens)
-
-
-def _rank_channel_balance(depth, f_lens, g_lens, counts):
-    return (max(counts) - min(counts)) if counts else 0
 
 
 #: The heuristic registry.  ``depth`` is BFS order (FIFO tie-break
@@ -124,9 +117,6 @@ HEURISTICS: Dict[str, Heuristic] = {
     "depth": Heuristic("depth", _rank_depth),
     "rhs-distance": Heuristic("rhs-distance", _rank_rhs_distance,
                               needs_values=True),
-    "channel-balance": Heuristic("channel-balance",
-                                 _rank_channel_balance,
-                                 needs_counts=True),
 }
 
 #: Exploration orders the solver understands.

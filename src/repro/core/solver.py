@@ -315,8 +315,7 @@ class SmoothSolutionSolver:
                  cache: Optional[object] = None,
                  compiled: Optional[bool] = None,
                  strategy: str = "bfs",
-                 heuristic: str = "rhs-distance",
-                 dedup: bool = False):
+                 heuristic: str = "rhs-distance"):
         self.description = description
         self.candidates = candidates
         self.limit_depth = limit_depth
@@ -346,14 +345,6 @@ class SmoothSolutionSolver:
         #: :data:`repro.core.search.HEURISTICS`); validated eagerly so
         #: a typo fails at construction, not mid-search.
         self.heuristic = get_heuristic(heuristic).name
-        #: duplicate-state reduction: memoize ``g``, the limit verdict
-        #: and the admissible-extension scan per *channel
-        #: projection* — nodes whose channel projections coincide (the
-        #: paper's ``b(t)``) share one evaluation.  Every node is
-        #: still enumerated and classified, so the solution set (and
-        #: digest) is untouched; the saving is evaluation work on
-        #: converging interleavings.
-        self.dedup = dedup
 
     @classmethod
     def over_channels(cls, description: Description,
@@ -363,12 +354,12 @@ class SmoothSolutionSolver:
                       cache: Optional[object] = None,
                       compiled: Optional[bool] = None,
                       strategy: str = "bfs",
-                      heuristic: str = "rhs-distance",
-                      dedup: bool = False) -> "SmoothSolutionSolver":
+                      heuristic: str = "rhs-distance"
+                      ) -> "SmoothSolutionSolver":
         return cls(description, alphabet_candidates(channels),
                    limit_depth=limit_depth, tracer=tracer,
                    cache=cache, compiled=compiled, strategy=strategy,
-                   heuristic=heuristic, dedup=dedup)
+                   heuristic=heuristic)
 
     # -- tree structure ------------------------------------------------------
 
@@ -474,7 +465,10 @@ class SmoothSolutionSolver:
         was once a candidate), and the limit condition is checked
         exactly once.  The frontier-extendability probe at the depth
         bound short-circuits at the first admissible candidate instead
-        of re-running the full scan.
+        of re-running the full scan.  No evaluation is shared between
+        tree nodes, even between nodes with equal per-channel
+        projections; only :meth:`query`'s walk over projection states
+        expands each state once.
 
         When the description and candidate generator lie in the
         compilable finite fragment (see :mod:`repro.core.compiled`),
@@ -505,8 +499,7 @@ class SmoothSolutionSolver:
                 # node-budget truncation parks a strategy-specific
                 # set — the key must tell the entries apart.  Plain
                 # BFS keeps the historical key so warm caches stay
-                # warm.  ``dedup`` never changes the result, so it
-                # stays out of the key on purpose.
+                # warm.
                 cache_key = dict(cache_key,
                                  strategy=self.strategy,
                                  heuristic=self.heuristic)
@@ -547,8 +540,6 @@ class SmoothSolutionSolver:
                     "compiled=True, but this description/candidate "
                     "pair is outside the compilable fragment (see "
                     "repro.core.compiled for the preconditions)")
-        if self.dedup:
-            self._require_dedup_eligible()
         return self._walk(_ReferenceEngine(self), result, run)
 
     def _explore_compiled(self, compiled, result: SolverResult,
@@ -572,8 +563,7 @@ class SmoothSolutionSolver:
                 self.description, self.candidates,
                 limit_depth=self.limit_depth, tracer=self.tracer,
                 cache=self.cache, compiled=False,
-                strategy=self.strategy, heuristic=self.heuristic,
-                dedup=False)
+                strategy=self.strategy, heuristic=self.heuristic)
             return fallback.explore(
                 run.max_depth, max_nodes=run.max_nodes,
                 budget_seconds=run.budget_seconds,
@@ -584,9 +574,8 @@ class SmoothSolutionSolver:
         """Seed ``engine``, run the walk over it inside the
         ``solver.explore`` span, and finish the run.
 
-        Cost attribution, duplicate-state reduction and the
-        projection-state graph wrap the engine here
-        (:class:`_ProfiledEngine`, :class:`_DedupEngine`,
+        Cost attribution and the projection-state graph wrap the
+        engine here (:class:`_ProfiledEngine`,
         :class:`_StateGraphEngine`), so the walk carries no code for
         them.  A watch publishing ``state_graph = True`` (see
         :meth:`query`) asks for the state graph; the result then holds
@@ -598,11 +587,8 @@ class SmoothSolutionSolver:
         if run.metrics is not None:
             engine = _ProfiledEngine(engine, run.metrics, tracer)
         if states:
-            # dedup's memo could never hit: each state is expanded once
             engine = _StateGraphEngine(engine, run.metrics)
             result.strategy_meta["graph"] = "states"
-        elif self.dedup:
-            engine = _DedupEngine(engine, run.metrics)
         checkpoint, seeds = self._seeds(engine, result, run)
         with tracer.span("solver.explore", category="solver",
                          track="solver", depth=run.max_depth,
@@ -731,24 +717,11 @@ class SmoothSolutionSolver:
                 and _leaf_channels(self.description.lhs) is not None
                 and _leaf_channels(self.description.rhs) is not None)
 
-    def _require_dedup_eligible(self) -> None:
-        """Duplicate-state reduction keys nodes on their per-channel
-        projections; that key is sound only for a
-        :meth:`_projection_factored` description, so anything else
-        must refuse loudly rather than dedup unsoundly."""
-        if self._projection_factored():
-            return
-        raise ValueError(
-            "dedup=True requires a plain Description whose sides "
-            "factor through per-channel projections (sides that "
-            "inspect whole traces would make the duplicate-state key "
-            "unsound); run with dedup=False")
-
     def _channel_universe(self) -> tuple:
-        """The fixed channel set heuristics and dedup keys range over:
-        the candidate alphabet's channels plus both sides' observed
-        channels — the channels the compiled engine gives slots, so
-        feature values agree across engines."""
+        """The fixed channel set the reference engine's state keys
+        range over: the candidate alphabet's channels plus both sides'
+        observed channels — the channels the compiled engine gives
+        slots."""
         from repro.core.compiled import _leaf_channels
 
         chans = set()
@@ -800,10 +773,8 @@ class SmoothSolutionSolver:
         fifo = heuristic.name == "depth"
         rank_fn = heuristic.fn
         needs_values = heuristic.needs_values
-        needs_counts = heuristic.needs_counts
         g, limit_fn, edges = engine.g, engine.limit, engine.edges
-        probe, trace_of = engine.probe, engine.trace
-        lens, counts = engine.lens, engine.counts
+        probe, trace_of, lens = engine.probe, engine.trace, engine.lens
         frontier = deque() if fifo else []
         pending: dict = {}
         seq = 0
@@ -813,8 +784,7 @@ class SmoothSolutionSolver:
             gu = g(node)
             rank = rank_fn(depth,
                            lens(fu) if needs_values else (),
-                           lens(gu) if needs_values else (),
-                           counts(node) if needs_counts else ())
+                           lens(gu) if needs_values else ())
             heapq.heappush(frontier, (rank, seq, depth, node, fu, gu))
             seq += 1
 
@@ -1313,13 +1283,11 @@ class _ReferenceEngine:
     ``seed`` (a trace as a node, with its ``f``), ``g``, ``limit``,
     ``edges`` (the admissible children as ``(child, f(child))``
     pairs, built once; pruned candidates go to ``pruned`` when a list
-    is passed), ``rebase`` (another node's children re-hung under a
-    node with the same per-channel projection), ``probe`` (the
-    short-circuit frontier test, with the number of candidates it
-    tried), ``trace``, ``env_key`` and the ranking features
-    ``lens``/``counts``.  Cost attribution and duplicate-state
-    reduction wrap an engine (:class:`_ProfiledEngine`,
-    :class:`_DedupEngine`).
+    is passed), ``probe`` (the short-circuit frontier test, with the
+    number of candidates it tried), ``trace``, ``env_key`` (the
+    state graph's key) and the ranking feature ``lens``.  Cost
+    attribution and the state graph wrap an engine
+    (:class:`_ProfiledEngine`, :class:`_StateGraphEngine`).
     """
 
     __slots__ = ("solver", "description", "names", "_name_set")
@@ -1357,11 +1325,6 @@ class _ReferenceEngine:
                 pruned.append(event)
         return kids
 
-    @staticmethod
-    def rebase(node: Trace, kids: list) -> list:
-        return [(node.append(v.item(v.length() - 1)), fv)
-                for v, fv in kids]
-
     def probe(self, node: Trace, fu, gu) -> tuple:
         description = self.description
         f = description.lhs
@@ -1380,7 +1343,7 @@ class _ReferenceEngine:
     def env_key(self, node: Trace):
         """The per-channel projection of the trace — the paper's
         ``b(t)`` — as a hashable key; ``None`` when some message is
-        unhashable (that node just skips the memo)."""
+        unhashable (the state graph then lets that node through)."""
         per: dict = {}
         for e in node:
             per.setdefault(e.channel.name, []).append(e.message)
@@ -1395,12 +1358,6 @@ class _ReferenceEngine:
 
     lens = staticmethod(component_lengths)
 
-    def counts(self, node: Trace) -> tuple:
-        per = {n: 0 for n in self.names}
-        for e in node:
-            per[e.channel.name] = per.get(e.channel.name, 0) + 1
-        return tuple(per[n] for n in sorted(per))
-
 
 class _CompiledEngine:
     """The walk's view of :mod:`repro.core.compiled`'s representation
@@ -1412,7 +1369,8 @@ class _CompiledEngine:
       alphabet's own :class:`Event` objects (each child appends its
       candidate's), so :meth:`trace` wraps it as it stands;
     * ``env`` — the per-channel message environment, which *is* the
-      per-channel projection ``b(t)``, so it doubles as the dedup key;
+      per-channel projection ``b(t)``, so it doubles as the state
+      graph's key;
     * ``parent g`` and ``cid`` — what ``g`` needs to be re-evaluated
       incrementally: the parent's value and the channel the node
       appended, whose ``rhs.after`` closure reuses every component
@@ -1470,12 +1428,6 @@ class _CompiledEngine:
                 pruned.append(event)
         return kids
 
-    @staticmethod
-    def rebase(node, kids: list) -> list:
-        events = node[0]
-        return [((events + (child[0][-1],),) + child[1:], fv)
-                for child, fv in kids]
-
     def probe(self, node, fu, gu) -> tuple:
         env = node[1]
         leq, lhs_after = self.leq, self.lhs_after
@@ -1501,10 +1453,6 @@ class _CompiledEngine:
 
     def lens(self, value) -> tuple:
         return tuple(map(len, value)) if self.product else (len(value),)
-
-    @staticmethod
-    def counts(node) -> tuple:
-        return tuple(map(len, node[1]))
 
 
 class _ProfiledEngine:
@@ -1563,76 +1511,6 @@ class _ProfiledEngine:
         _charge(self.metrics, "lhs.apply.probe",
                 time.perf_counter_ns() - t0, found[1])
         return found
-
-
-class _DedupEngine:
-    """Duplicate-state reduction around an engine.
-
-    Memoizes ``g``, the limit verdict, the admissible children and
-    the frontier probe per per-channel projection (the engine's
-    ``env_key`` — the paper's ``b(t)``).  Nodes are still enumerated
-    and classified one by one, so the solution set is untouched; only
-    evaluation work is shared.  Memoized children belong to the first
-    node with that projection, so a hit re-hangs them under the asking
-    node (``rebase``).  Nodes without a key skip the memo.
-    """
-
-    __slots__ = ("inner", "memo", "metrics", "_node", "_entry_of_node")
-
-    def __init__(self, inner, metrics: Optional[MetricsRegistry]) -> None:
-        self.inner = inner
-        self.memo: dict = {}
-        self.metrics = metrics
-        self._node = self._entry_of_node = None
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    def _entry(self, node) -> Optional[dict]:
-        # a walk asks about one node several times in a row (g, the
-        # limit, edges or probe): key it once
-        if node is not self._node:
-            key = self.inner.env_key(node)
-            entry = None
-            if key is not None:
-                entry = self.memo.get(key)
-                if entry is None:
-                    entry = self.memo[key] = {}
-                    if self.metrics is not None:
-                        self.metrics.counter("solver.dedup.states").inc()
-            self._node, self._entry_of_node = node, entry
-        return self._entry_of_node
-
-    def _cached(self, site: str, compute: Callable, node, *args):
-        entry = self._entry(node)
-        if entry is None:
-            return compute(node, *args)
-        if site in entry:
-            if self.metrics is not None:
-                self.metrics.counter("solver.dedup.hits").inc()
-            return entry[site]
-        value = entry[site] = compute(node, *args)
-        return value
-
-    def g(self, node):
-        return self._cached("g", self.inner.g, node)
-
-    def limit(self, node, fu, gu) -> bool:
-        return self._cached("limit", self.inner.limit, node, fu, gu)
-
-    def probe(self, node, fu, gu) -> tuple:
-        return self._cached("probe", self.inner.probe, node, fu, gu)
-
-    def edges(self, node, fu, gu) -> list:
-        entry = self._entry(node)
-        if entry is not None and "edges" in entry:
-            if self.metrics is not None:
-                self.metrics.counter("solver.dedup.hits").inc()
-            return self.inner.rebase(node, entry["edges"])
-        kids = self.inner.edges(node, fu, gu)
-        if entry is not None:
-            entry["edges"] = kids
-        return kids
 
 
 class _StateGraphEngine:
@@ -1709,8 +1587,7 @@ def solve(description: Description, channels: Iterable[Channel],
           cache: Optional[object] = None,
           compiled: Optional[bool] = None,
           strategy: str = "bfs",
-          heuristic: str = "rhs-distance",
-          dedup: bool = False) -> SolverResult:
+          heuristic: str = "rhs-distance") -> SolverResult:
     """One-call convenience: explore over the channels' alphabets.
 
     With ``cache`` (a :class:`repro.cache.CacheStore`), the
@@ -1720,15 +1597,15 @@ def solve(description: Description, channels: Iterable[Channel],
     computed one.  ``compiled`` selects the exploration engine (see
     :class:`SmoothSolutionSolver`): ``None`` auto-detects, ``False``
     forces the reference path, ``True`` demands the compiled one.
-    ``strategy`` / ``heuristic`` / ``dedup`` select the exploration
-    order (see :mod:`repro.core.search`); every strategy finds the
-    same solution set wherever it completes.
+    ``strategy`` / ``heuristic`` select the exploration order (see
+    :mod:`repro.core.search`); every strategy finds the same solution
+    set wherever it completes.  Every node takes one ``g`` and every
+    candidate one ``f``; no evaluation is shared between nodes.
     """
     solver = SmoothSolutionSolver.over_channels(
         description, channels, limit_depth=limit_depth, tracer=tracer,
         cache=cache, compiled=compiled, strategy=strategy,
-        heuristic=heuristic, dedup=dedup
-    )
+        heuristic=heuristic)
     return solver.explore(max_depth)
 
 
@@ -1742,8 +1619,7 @@ def solve_query(description: Description,
                 cache: Optional[object] = None,
                 compiled: Optional[bool] = None,
                 strategy: str = "best-first",
-                heuristic: str = "rhs-distance",
-                dedup: bool = False) -> "QueryResult":
+                heuristic: str = "rhs-distance") -> "QueryResult":
     """One-call query: "does a finite smooth solution matching
     ``predicate`` exist within ``max_depth``?" (``mode="exists"``) or
     "do all of them match?" (``mode="all"``) — short-circuiting at the
@@ -1754,13 +1630,12 @@ def solve_query(description: Description,
     benchmark pins as expanding measurably fewer nodes than ``solve``.
     A textual predicate over a projection-factored description is
     answered on the projection-state graph, one node per per-channel
-    projection state, where ``dedup`` has nothing left to share.
+    projection state.
     """
     solver = SmoothSolutionSolver.over_channels(
         description, channels, limit_depth=limit_depth, tracer=tracer,
         cache=cache, compiled=compiled, strategy=strategy,
-        heuristic=heuristic, dedup=dedup
-    )
+        heuristic=heuristic)
     return solver.query(predicate, max_depth, mode=mode,
                         max_nodes=max_nodes,
                         budget_seconds=budget_seconds)

@@ -9,9 +9,9 @@ This module is that evidence, in two halves:
   counts and wall-time for the solver's hot sites (``rhs.apply``,
   ``limit_report``, the ``lhs.apply`` expand/probe/root scans, cache
   consults), kept as ``solver.site.<site>.calls``/``.ns`` counters,
-  the strategy and dedup event counters, and the per-level time
-  series (frontier width, expansions, prunes, dead ends) the BFS walk
-  keeps beside them.  The *counts* are deterministic — they must
+  the strategy and state-graph event counters, and the per-level
+  time series (frontier width, expansions, prunes, dead ends) the BFS
+  walk keeps beside them.  The *counts* are deterministic — they must
   agree with the evaluation counts pinned by
   ``tests/core/test_solver_memo.py``: one limit check per node, ``f``
   once per proposed candidate, and one ``g`` per node.  The nanosecond
@@ -35,9 +35,9 @@ SITE_ORDER = ("compile.build", "rhs.apply", "lhs.apply.expand",
               "lhs.apply.probe", "lhs.apply.root", "limit_report",
               "cache.get", "cache.put")
 
-#: The counters of untimed walk events (strategy pushes/pops, dedup
-#: states and hits, state-graph revisits).
-_EVENT_COUNTERS = ("solver.strategy.", "solver.dedup.", "solver.states.")
+#: The counters of untimed walk events (strategy pushes/pops,
+#: state-graph revisits).
+_EVENT_COUNTERS = ("solver.strategy.", "solver.states.")
 
 _SITE = "solver.site."
 

@@ -245,7 +245,7 @@ class TestFragmentGating:
 
 class TestCompiledRepresentation:
     def test_unhashable_message_stays_on_reference(self):
-        # environments are hashed as dedup and state-graph keys, so a
+        # environments are hashed as state-graph keys, so a
         # constant alphabet with an unhashable message must not compile
         u = Channel("u")
         spec = Description(chan(u), const_seq(FiniteSeq(([0],))),

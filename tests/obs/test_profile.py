@@ -153,13 +153,12 @@ class TestHotspots:
         assert by_site["rhs.apply"]["calls"] == result.nodes_explored
 
 
-def traced_solver(strategy="bfs", dedup=False, compiled=None,
-                  cache=None):
+def traced_solver(strategy="bfs", compiled=None, cache=None):
     """The catalog dfm (§2.2, ``merge.make_dfm``), traced."""
     base = merge.make_dfm().solver()
     return SmoothSolutionSolver(
         base.description, base.candidates, compiled=compiled,
-        strategy=strategy, dedup=dedup, cache=cache,
+        strategy=strategy, cache=cache,
         tracer=Tracer([RingBufferSink(capacity=100_000)]))
 
 
@@ -167,10 +166,9 @@ class TestSolverProfileView:
     """``result.profile`` is :func:`solver_profile` over
     ``result.metrics``: every count it shows is a registry counter."""
 
-    @pytest.mark.parametrize("dedup", [False, True])
     @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
-    def test_view_agrees_with_registry(self, strategy, dedup):
-        result = traced_solver(strategy, dedup).explore(4)
+    def test_view_agrees_with_registry(self, strategy):
+        result = traced_solver(strategy).explore(4)
         metrics, prof = result.metrics, result.profile
         assert prof == solver_profile(metrics, prof["levels"])
         for site, v in prof["sites"].items():
@@ -210,62 +208,35 @@ class TestSolverProfileView:
 
 
 #: The catalog dfm's profile at depth 4 on either engine: per
-#: (strategy, dedup, max_nodes), the calls at ``PINNED_SITES``, the
+#: (strategy, max_nodes), the calls at ``PINNED_SITES``, the
 #: event counters, the f/g totals and the BFS levels as rows of
 #: ``_LEVEL_KEYS``.
 PINNED_SITES = ("lhs.apply.root", "rhs.apply", "limit_report",
                 "lhs.apply.expand", "lhs.apply.probe")
 PINNED = {
-    ("bfs", False, None): (
+    ("bfs", None): (
         (1, 2659, 2659, 4260, 2304),
         {"strategy.bfs.popped": 2659, "strategy.bfs.pushed": 2659},
         6565, 2659,
         [(0, 1, 12, 6, 1, 1, 0), (1, 6, 72, 30, 6, 0, 0),
          (2, 42, 504, 198, 42, 6, 0), (3, 306, 3672, 1368, 306, 0, 0),
          (4, 2304, 0, 0, 2304, 90, 0)]),
-    ("bfs", False, 90): (
+    ("bfs", 90): (
         (1, 90, 90, 1080, 0),
         {"strategy.bfs.popped": 90, "strategy.bfs.pushed": 667},
         1081, 90,
         [(0, 1, 12, 6, 1, 1, 0), (1, 6, 72, 30, 6, 0, 0),
          (2, 42, 504, 198, 42, 6, 0), (3, 306, 492, 180, 41, 0, 0)]),
-    ("bfs", True, None): (
-        (1, 787, 787, 2208, 603),
-        {"dedup.hits": 5616, "dedup.states": 787,
-         "strategy.bfs.popped": 2659, "strategy.bfs.pushed": 2659},
-        2812, 787,
-        [(0, 1, 12, 6, 1, 1, 0), (1, 6, 72, 30, 6, 0, 0),
-         (2, 42, 396, 162, 42, 6, 0), (3, 306, 1728, 666, 306, 0, 0),
-         (4, 2304, 0, 0, 2304, 90, 0)]),
-    ("bfs", True, 90): (
-        (1, 72, 72, 864, 0),
-        {"dedup.hits": 54, "dedup.states": 72,
-         "strategy.bfs.popped": 90, "strategy.bfs.pushed": 667},
-        865, 72,
-        [(0, 1, 12, 6, 1, 1, 0), (1, 6, 72, 30, 6, 0, 0),
-         (2, 42, 396, 162, 42, 6, 0), (3, 306, 384, 144, 41, 0, 0)]),
-    ("best-first", False, None): (
+    ("best-first", None): (
         (1, 2659, 2659, 4260, 2304),
         {"strategy.best-first.popped": 2659,
          "strategy.best-first.pushed": 2659},
         6565, 2659, []),
-    ("best-first", False, 90): (
+    ("best-first", 90): (
         (1, 365, 90, 636, 37),
         {"strategy.best-first.popped": 90,
          "strategy.best-first.pushed": 365},
         674, 365, []),
-    ("best-first", True, None): (
-        (1, 787, 787, 2208, 603),
-        {"dedup.hits": 5616, "dedup.states": 787,
-         "strategy.best-first.popped": 2659,
-         "strategy.best-first.pushed": 2659},
-        2812, 787, []),
-    ("best-first", True, 90): (
-        (1, 286, 87, 612, 36),
-        {"dedup.hits": 85, "dedup.states": 286,
-         "strategy.best-first.popped": 90,
-         "strategy.best-first.pushed": 365},
-        649, 286, []),
 }
 _LEVEL_KEYS = ("depth", "width", "proposed", "pruned", "expanded",
                "accepted", "dead_ends")
@@ -278,18 +249,16 @@ class TestPinnedProfile:
 
     @pytest.mark.parametrize("compiled", [False, None])
     @pytest.mark.parametrize("max_nodes", [None, 90])
-    @pytest.mark.parametrize("dedup", [False, True])
     @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
-    def test_counts_match_the_pins(self, strategy, dedup, max_nodes,
-                                   compiled):
-        solver = traced_solver(strategy, dedup, compiled)
+    def test_counts_match_the_pins(self, strategy, max_nodes, compiled):
+        solver = traced_solver(strategy, compiled)
         result = (solver.explore(4) if max_nodes is None
                   else solver.explore(4, max_nodes=max_nodes))
         prof = result.profile
         calls = {name: v["calls"] for name, v in prof["sites"].items()}
         assert calls.pop("compile.build", 0) == (compiled is None)
         sites, counters, f_evals, g_evals, levels = \
-            PINNED[strategy, dedup, max_nodes]
+            PINNED[strategy, max_nodes]
         assert set(calls) <= set(PINNED_SITES)
         assert tuple(calls.get(name, 0) for name in PINNED_SITES) == sites
         assert prof["counters"] == counters
@@ -384,25 +353,24 @@ class TestCollapsedStacks:
 class TestProfileEngineParity:
     """Per-site call counts and strategy counters are bookkeeping of
     the walk, not of the representation: both engines must report
-    the same ones for every strategy, with and without duplicate-state
-    reduction, on complete and truncated runs."""
+    the same ones for every strategy, on complete and truncated
+    runs."""
 
     @staticmethod
-    def profile(compiled, strategy, dedup, max_nodes):
+    def profile(compiled, strategy, max_nodes):
         desc = combine(merge.dfm_descriptions(B, C, D), name="dfm")
         solver = SmoothSolutionSolver.over_channels(
             desc, [B, C, D], compiled=compiled, strategy=strategy,
-            dedup=dedup, tracer=Tracer([RingBufferSink(capacity=100_000)]))
+            tracer=Tracer([RingBufferSink(capacity=100_000)]))
         prof = solver.explore(4, max_nodes=max_nodes).profile
         calls = {name: v["calls"] for name, v in prof["sites"].items()
                  if name != "compile.build"}
         return calls, prof["counters"]
 
     @pytest.mark.parametrize("max_nodes", [200_000, 90])
-    @pytest.mark.parametrize("dedup", [False, True])
     @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
     def test_counts_and_counters_equal_across_engines(
-            self, strategy, dedup, max_nodes):
-        reference = self.profile(False, strategy, dedup, max_nodes)
+            self, strategy, max_nodes):
+        reference = self.profile(False, strategy, max_nodes)
         assert reference[0]["limit_report"] > 0
-        assert self.profile(None, strategy, dedup, max_nodes) == reference
+        assert self.profile(None, strategy, max_nodes) == reference

@@ -20,8 +20,8 @@ Randomized and exhaustive evidence backs the engine swap in
   ``0.0``/``-0.0``); inputs the walk declines are answered by
   ``check``;
 * the two engines are one walk — on the catalog's implication,
-  random-bit sequence and fair merge, both strategies, with and
-  without dedup, complete and node-budget-truncated, they give equal
+  random-bit sequence and fair merge, both strategies, complete and
+  node-budget-truncated, they give equal
   digests, checkpoints, cache payloads and per-site call counts.
 """
 
@@ -479,7 +479,7 @@ CATALOG = {
 }
 
 
-def catalog_run(name, compiled, strategy, dedup, max_nodes):
+def catalog_run(name, compiled, strategy, max_nodes):
     """One traced exploration of a catalog process: the result's
     digest, checkpoint and payload JSON, and its per-site calls."""
     from repro import processes
@@ -489,7 +489,7 @@ def catalog_run(name, compiled, strategy, dedup, max_nodes):
     solver = SmoothSolutionSolver(
         proto.description, proto.candidates,
         limit_depth=proto.limit_depth, compiled=compiled,
-        strategy=strategy, dedup=dedup,
+        strategy=strategy,
         tracer=Tracer([RingBufferSink(capacity=100_000)]))
     result = solver.explore(depth, max_nodes=max_nodes)
     calls = {key: value for key, value in result.metrics.items()
@@ -501,17 +501,16 @@ def catalog_run(name, compiled, strategy, dedup, max_nodes):
 
 class TestEngineParityMatrix:
     @pytest.mark.parametrize("max_nodes", [200_000, 37])
-    @pytest.mark.parametrize("dedup", [False, True])
     @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
     @pytest.mark.parametrize("name", sorted(CATALOG))
-    def test_engines_agree(self, name, strategy, dedup, max_nodes):
+    def test_engines_agree(self, name, strategy, max_nodes):
         from repro import processes
 
         module, factory, _depth = CATALOG[name]
         proto = getattr(getattr(processes, module), factory)().solver()
         assert compile_description(proto.description,
                                    proto.candidates) is not None
-        reference = catalog_run(name, False, strategy, dedup, max_nodes)
-        compiled = catalog_run(name, True, strategy, dedup, max_nodes)
+        reference = catalog_run(name, False, strategy, max_nodes)
+        compiled = catalog_run(name, True, strategy, max_nodes)
         assert reference[3]["solver.site.limit_report.calls"] > 0
         assert compiled == reference

@@ -19,7 +19,9 @@ registered scenarios, on both engines and under ``bfs`` and
   have the tree's sets of projections;
 
 and that every query the graph cannot answer soundly keeps the tree
-walk, with the tree's node count.
+walk, with the tree's node count.  A node holding an unhashable
+message has no state key; the graph lets every such node through, so
+its answers stay the tree walk's.
 """
 
 from functools import lru_cache
@@ -27,10 +29,12 @@ from functools import lru_cache
 import pytest
 
 from repro import par, processes
+from repro.channels.channel import Channel
+from repro.channels.event import Event
 from repro.core.description import Description
 from repro.core.search import parse_predicate
 from repro.core.solver import SmoothSolutionSolver, alphabet_candidates
-from repro.functions.base import LambdaFn
+from repro.functions.base import LambdaFn, chan
 from repro.traces.trace import Trace
 
 #: name -> (catalog module, factory, depth): the benchmark's ``solve``
@@ -90,12 +94,18 @@ def predicates(name: str) -> tuple:
             f"on:{last.name} >= 1, length <= {depth - 1}")
 
 
-def projection(trace: Trace) -> frozenset:
-    """The trace's per-channel projection ``b(t)``."""
+def projection_items(trace: Trace) -> list:
+    """The trace's per-channel projection ``b(t)`` as ``(channel name,
+    messages)`` pairs."""
     per: dict = {}
     for event in trace:
         per.setdefault(event.channel.name, []).append(event.message)
-    return frozenset((name, tuple(ms)) for name, ms in per.items())
+    return [(name, tuple(ms)) for name, ms in per.items()]
+
+
+def projection(trace: Trace) -> frozenset:
+    """The trace's per-channel projection ``b(t)``."""
+    return frozenset(projection_items(trace))
 
 
 @lru_cache(maxsize=None)
@@ -181,6 +191,66 @@ def test_pinned_state_counts_on_the_reference_engine(name):
     assert answer.nodes_explored == PINNED_STATES[name]
     assert f"projection states explored: {PINNED_STATES[name]}" \
         in answer.describe()
+
+
+class TestKeylessNodes:
+    """``u ⟵ v`` over a constant alphabet mixing the unhashable ``[0]``
+    with ``1`` on both channels: a node that holds ``[0]`` has no
+    state key (``env_key`` is ``None``, and the description stays off
+    the compiled engine), so the graph expands every such node, while
+    nodes of ``1``s alone share their states."""
+
+    DEPTH = 4
+    PREDICATES = ("length <= 4", "on:u <= 1", "msg:v:[0]",
+                  "msg:u:1", "on:v >= 1, length <= 3")
+
+    @staticmethod
+    def solver(strategy: str = "bfs") -> SmoothSolutionSolver:
+        u, v = Channel("u"), Channel("v")
+        events = tuple(Event(c, m) for c in (u, v) for m in ([0], 1))
+
+        def candidates(trace):
+            return events
+
+        candidates.constant_events = events
+        return SmoothSolutionSolver(
+            Description(chan(u), chan(v), name="u ⟵ v"), candidates,
+            strategy=strategy)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_answers_match_enumerate_then_filter(self, strategy):
+        solver = self.solver(strategy)
+        tree = solver.explore(self.DEPTH)
+        assert not tree.truncated
+        for text in self.PREDICATES:
+            for mode in ("exists", "all"):
+                holds, witness = tree_answer(tree.finite_solutions,
+                                             text, mode)
+                answer = solver.query(text, self.DEPTH, mode=mode)
+                label = (strategy, text, mode)
+                assert answer.meta["graph"] == "states", label
+                assert answer.holds is holds, label
+                assert answer.witness == witness, label
+                if witness is not None:
+                    assert solver.replay_witness(answer.certificate) \
+                        == witness, label
+
+    def test_full_enumeration_expands_every_keyless_node(self):
+        solver = self.solver()
+        level = [Trace.empty()]
+        nodes = list(level)
+        for _ in range(self.DEPTH):
+            level = [v for u in level for v in solver.children(u)]
+            nodes += level
+        answer = solver.query("length >= 99", self.DEPTH)
+        assert answer.holds is False and not answer.result.truncated
+        assert answer.meta["graph"] == "states"
+        # keyed nodes of one state are expanded once, keyless ones
+        # each time the tree holds them (the projections are told
+        # apart by repr here, as ``[0]`` cannot be hashed)
+        states = {repr(sorted(projection_items(t))) for t in nodes}
+        assert len(states) < answer.nodes_explored < len(nodes)
+        assert (answer.nodes_explored, len(nodes)) == (68, 73)
 
 
 class TestTreeWalkKept:

@@ -4,7 +4,7 @@ Both checks are node watches on ``SmoothSolutionSolver.explore``.  The
 oracle is a plain level-by-level walk over
 ``SmoothSolutionSolver.children``: on BFS the watches must reproduce
 it exactly (counts, counterexample, ordered failure list); on every
-other strategy, engine and dedup setting they must give the same
+other strategy and engine they must give the same
 verdicts, the same counts on complete runs and the same failure sets.
 """
 
@@ -114,17 +114,15 @@ class TestParityWithTheReferenceWalk:
         assert violated_cex is not None
         assert base and failures
 
-    @pytest.mark.parametrize("dedup", [False, True],
-                             ids=["nodedup", "dedup"])
     @pytest.mark.parametrize("strategy", ["bfs", "best-first"])
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_checks_agree_with_the_reference_walk(self, name, engine,
-                                                  strategy, dedup):
+                                                  strategy):
         process, depth, (holding, violated, phi), answers = case(name)
         solver = SmoothSolutionSolver.over_channels(
             process.description(), process.channels,
-            compiled=ENGINES[engine], strategy=strategy, dedup=dedup)
+            compiled=ENGINES[engine], strategy=strategy)
         if engine == "compiled" and compile_description(
                 solver.description, solver.candidates) is None:
             # outside the compiled fragment the checks raise what

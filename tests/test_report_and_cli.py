@@ -266,7 +266,7 @@ class TestCli:
                 main([command, "--help"])
             out = capsys.readouterr().out
             assert "{bfs,best-first,extra}" in out
-            assert "{depth,rhs-distance,channel-balance,extra}" in out
+            assert "{depth,rhs-distance,extra}" in out
             assert "{auto,reference,compiled}" in out
 
 
@@ -559,6 +559,20 @@ class TestSolveCli:
         out = capsys.readouterr().out
         assert "finite smooth solutions" in out
         assert "result digest" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--dedup"],
+        ["--strategy", "best-first", "--heuristic", "channel-balance"],
+    ], ids=["dedup", "channel-balance"])
+    def test_retired_search_options_are_usage_errors(self, argv, capsys):
+        # every tree node takes its own g and f, and best-first ranks
+        # by depth or rhs-distance only: argparse refuses the rest
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "dfm", *argv])
+        assert exc.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
 
     def test_truncated_run_exits_one_and_checkpoints(self, tmp_path,
                                                      capsys):
