@@ -36,9 +36,9 @@ Commands:
   specification, optionally resuming a truncated exploration from a
   checkpoint JSON (``--resume``) and/or writing one
   (``--checkpoint-out``); exits 0 iff the exploration completed;
-* ``top``            — run a grid with live telemetry streaming and a
-  refreshing TTY scoreboard (cells done, retries, quarantines, cache
-  hit-rate, ETA), then the final report; optionally writes the HTML
+* ``top``            — run a traced grid with a refreshing TTY
+  scoreboard (cells done, retries, quarantines, cache hit-rate,
+  trace records, ETA), then the final report; optionally writes the HTML
   flight-deck artifact;
 * ``bench-append``   — extract the tracked rows from a
   ``BENCH_core.json`` snapshot and append a git-SHA-keyed entry to
@@ -84,6 +84,21 @@ def _at_least(minimum: int):
         return value
 
     return parse
+
+
+def _seconds(text: str) -> float:
+    """An argparse type: a duration in seconds no smaller than 0, so a
+    negative or NaN budget is a usage error naming its flag (exit 2)
+    instead of one that fires at once or never."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 0, got {value}")
+    return value
 
 
 def cmd_summary() -> int:
@@ -674,8 +689,9 @@ def cmd_grid(scenario: str, workers: int, seeds: int,
 
     ``--html-report`` / ``--metrics-out`` / ``--metrics-json`` /
     ``--trace`` write the flight-deck artifacts; asking for any of
-    them attaches a tracer, so cells stream their telemetry live and
-    the artifacts carry the merged per-cell metrics.
+    them attaches a tracer, so each cell hands its trace records back
+    with its result and the artifacts carry the merged per-cell
+    metrics.
     """
     from repro import par
     from repro.report import render_conformance_report
@@ -734,8 +750,8 @@ def cmd_top(scenario: str, workers: int, seeds: int,
             chaos_seed: int, html_report: str | None) -> int:
     """Run a grid with the live flight-deck scoreboard.
 
-    The grid runs in a worker thread with a tracer attached (so cells
-    stream records and metric deltas back as they execute) and a
+    The grid runs in a worker thread with a tracer attached (so each
+    cell hands its trace records back with its result) and a
     shared :class:`~repro.obs.telemetry.FleetStatus`; the main thread
     refreshes the scoreboard every ``interval`` seconds — redrawn in
     place on a TTY, one plain line per refresh otherwise (logs, CI) —
@@ -1193,11 +1209,11 @@ def main(argv: list[str] | None = None) -> int:
         "--no-record", action="store_true",
         help="skip flight-recording each cell's schedule")
     p_grid.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="S",
+        "--cell-timeout", type=_seconds, default=None, metavar="S",
         help="per-cell wall-clock deadline in seconds: a cell past "
              "it has its worker killed and the attempt retried")
     p_grid.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_at_least(0), default=None, metavar="N",
         help="re-attempts per failed cell before quarantine "
              "(default 2 when the fleet is engaged)")
     p_grid.add_argument(
@@ -1232,7 +1248,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_top = sub.add_parser(
         "top", help="run a grid with a live fleet scoreboard "
-                    "(streamed telemetry, ETA, cache hit-rate)")
+                    "(trace records, ETA, cache hit-rate)")
     p_top.add_argument(
         "scenario", nargs="?", default="dfm",
         help=f"registered scenario name ({', '.join(scenarios)})")
@@ -1253,10 +1269,10 @@ def main(argv: list[str] | None = None) -> int:
         "--interval", type=float, default=0.5, metavar="S",
         help="scoreboard refresh period in seconds (default 0.5)")
     p_top.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="S",
+        "--cell-timeout", type=_seconds, default=None, metavar="S",
         help="per-cell wall-clock deadline in seconds")
     p_top.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_at_least(0), default=None, metavar="N",
         help="re-attempts per failed cell before quarantine")
     p_top.add_argument(
         "--quarantine-dir", default=None, metavar="PATH",
@@ -1322,7 +1338,7 @@ def main(argv: list[str] | None = None) -> int:
         "--max-nodes", type=_at_least(0), default=200_000,
         help="node budget per call (a resumed run gets a fresh one)")
     p_solve.add_argument(
-        "--budget-seconds", type=float, default=None,
+        "--budget-seconds", type=_seconds, default=None,
         help="wall-clock budget (wall-truncated runs are not cached)")
     p_solve.add_argument(
         "--resume", default=None, metavar="CKPT",
@@ -1380,7 +1396,7 @@ def main(argv: list[str] | None = None) -> int:
         "--max-nodes", type=_at_least(0), default=200_000,
         help="node budget (exit 2 when it fires unresolved)")
     p_query.add_argument(
-        "--budget-seconds", type=float, default=None,
+        "--budget-seconds", type=_seconds, default=None,
         help="wall-clock budget")
     p_query.add_argument(
         "--engine", choices=tuple(ENGINES),

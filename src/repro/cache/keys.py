@@ -76,23 +76,15 @@ def description_digest(description: Any) -> str:
 
 
 def candidate_identity(candidates: Any) -> Any:
-    """A JSON-ready identity for a candidate generator.
+    """A JSON-ready identity for a candidate generator: the
+    ``cache_key`` attribute that generators built by the library
+    attach, describing their content (e.g. the full event alphabet).
 
-    Generators built by the library attach a ``cache_key`` attribute
-    describing their content (e.g. the full event alphabet); anything
-    else is identified by its qualified name — enough to keep two
-    differently-named generators apart, while the version stamp guards
-    against silent drift under one name.
+    A generator without one has no identity — two closures from one
+    factory share a name but not their events — so the solver keeps
+    such a walk out of the cache, and this raises ``AttributeError``.
     """
-    key = getattr(candidates, "cache_key", None)
-    if key is not None:
-        return key
-    return {
-        "kind": "opaque",
-        "module": getattr(candidates, "__module__", ""),
-        "qualname": getattr(candidates, "__qualname__",
-                            type(candidates).__name__),
-    }
+    return candidates.cache_key
 
 
 def solver_cache_key(description: Any, candidates: Any,

@@ -445,7 +445,10 @@ class SmoothSolutionSolver:
         returns the rebuilt result on a hit; completed (and
         deterministically node-budget-truncated) results are stored
         back.  Wall-clock-truncated results are never cached — where
-        the clock fires is not a function of the inputs.  A watched
+        the clock fires is not a function of the inputs — and neither
+        is a walk whose candidate generator publishes no
+        ``cache_key`` (the alphabet and rhs-guided generators do):
+        nothing else would tell two such generators apart.  A watched
         walk (a ``_watch`` hook: a :meth:`query`, a safety or an
         induction check) neither reads nor writes the cache: a hit
         would skip every node the watch must see, an early exit is
@@ -490,7 +493,9 @@ class SmoothSolutionSolver:
         metrics = MetricsRegistry() if tracing else None
         cache_key = None
         if self.cache is not None and resume_from is None \
-                and _watch is None:
+                and _watch is None \
+                and getattr(self.candidates, "cache_key", None) \
+                is not None:
             from repro.cache.keys import solver_cache_key
 
             cache_key = solver_cache_key(

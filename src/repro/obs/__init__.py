@@ -24,10 +24,9 @@ package makes the execution structure itself observable:
   :class:`Schedule` with precise divergence detection;
 * :mod:`~repro.obs.diff` — first-divergence diffing of two runs or
   two schedules, and delta-debugging shrinking of a failing schedule;
-* :mod:`~repro.obs.telemetry` — live fleet telemetry: streaming
-  trace-batch shipping (:class:`StreamingSink`), idempotent
-  coordinator-side ingest (:class:`TelemetryMerger`) and the
-  :class:`FleetStatus` scoreboard behind ``python -m repro top``;
+* :mod:`~repro.obs.telemetry` — fleet telemetry: the grid metrics
+  summary and the :class:`FleetStatus` scoreboard behind
+  ``python -m repro top``;
 * :mod:`~repro.obs.exposition` — Prometheus-text and JSON exporters
   for metrics summaries;
 * :mod:`~repro.obs.htmlreport` — the self-contained static HTML
@@ -76,14 +75,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_registries,
-    snapshot_delta,
 )
-from repro.obs.telemetry import (
-    FleetStatus,
-    StreamingSink,
-    TelemetryMerger,
-)
+from repro.obs.telemetry import FleetStatus
 from repro.obs.recorder import (
     RecordingOracle,
     RecordingRandom,
@@ -152,8 +145,6 @@ __all__ = [
     "Sink",
     "SpanRecord",
     "StreamDivergence",
-    "StreamingSink",
-    "TelemetryMerger",
     "Tracer",
     "collapsed_stacks",
     "diff_runs",
@@ -162,13 +153,11 @@ __all__ = [
     "explain_records",
     "hotspots",
     "iter_fault_rngs",
-    "merge_registries",
     "record_fault_rng",
     "replay_fault_rng",
     "replay_network",
     "replay_supervised",
     "shrink_schedule",
-    "snapshot_delta",
     "solver_profile",
     "split_cells",
     "stable_digest",

@@ -426,8 +426,9 @@ class CausalGraph:
 def split_cells(records: Iterable[Any]) -> Dict[str, List[Any]]:
     """Split a merged fleet buffer into per-cell record lists.
 
-    The fleet's :class:`~repro.obs.telemetry.TelemetryMerger` commits
-    each cell's records with an ``@plan×seed`` track suffix; this
+    The fleet folds each cell's records onto the parent timeline with
+    an ``@plan×seed`` track suffix
+    (:func:`~repro.par.fleet.run_fleet`); this
     groups by that suffix and *strips it*, so a per-cell graph built
     from the result is digest-identical to the graph of the same cell
     run serially.  Records without a suffix (the coordinator's own

@@ -1,11 +1,12 @@
 """Self-contained static HTML flight-deck report for a grid run.
 
 One grid run → one ``.html`` file: the conformance verdict, the fleet
-supervision story (retries, timeouts, quarantines, streamed
-telemetry), the cache hit-rate and the merged metrics — including the
-p50/p90/p99 histogram quantiles and tiny inline bucket bar charts —
-all rendered with inline CSS and zero external assets, so the file can
-be archived as a CI artifact and opened years later, offline.
+supervision story (retries, timeouts, quarantines, the trace records
+its cells handed back), the cache hit-rate and the merged metrics —
+including the p50/p90/p99 histogram quantiles and tiny inline bucket
+bar charts — all rendered with inline CSS and zero external assets,
+so the file can be archived as a CI artifact and opened years later,
+offline.
 
 The machine-readable twin of the page rides inside it: the JSON
 exposition (:func:`repro.obs.exposition.to_json_exposition`) is
@@ -145,9 +146,8 @@ def render_html_report(report: Any,
     parts.append(_card(f"{wall:.3f}s", "wall clock"))
     if wall > 0 and compute > wall:
         parts.append(_card(f"×{compute / wall:.1f}", "overlap"))
-    if stats.get("stream_records"):
-        parts.append(_card(stats["stream_records"],
-                           "records streamed"))
+    if stats.get("trace_records"):
+        parts.append(_card(stats["trace_records"], "trace records"))
     parts.append("</div>")
 
     if infra:
@@ -162,16 +162,11 @@ def render_html_report(report: Any,
         parts.append("<tr><th>stat</th><th>value</th></tr>")
         for key in ("workers", "spawns", "respawns", "dispatches",
                     "retries", "timeouts", "crashes", "errors",
-                    "quarantined", "completed", "stream_batches",
-                    "stream_records", "chaos"):
+                    "quarantined", "completed", "trace_records",
+                    "chaos"):
             if stats.get(key):
                 parts.append(f"<tr><td>{_esc(key)}</td>"
                              f"<td>{_esc(stats[key])}</td></tr>")
-        telemetry = stats.get("telemetry") or {}
-        for key in sorted(telemetry):
-            parts.append(
-                f"<tr><td>telemetry.{_esc(key)}</td>"
-                f"<td>{_esc(telemetry[key])}</td></tr>")
         parts.append("</table>")
 
     if status:

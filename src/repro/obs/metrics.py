@@ -11,20 +11,15 @@ count/total/min/max plus coarse power-of-two buckets rather than the
 raw samples; quantiles (:meth:`Histogram.quantile`) are bucket-bound
 estimates derived from those buckets, never from retained samples.
 
-Registries also speak a *snapshot / merge / delta* protocol for
-cross-process aggregation (the fleet's live telemetry): a
-:meth:`MetricsRegistry.snapshot` is a plain-JSON image of every
-instrument, :meth:`MetricsRegistry.merge` folds a snapshot (or a
-delta) into another registry, and :func:`snapshot_delta` subtracts two
-snapshots so workers can ship only what changed since the last batch.
-Counters and histogram counts/totals/buckets are additive, so
-``merge(delta(b, a))`` on top of ``a``'s image reproduces ``b``'s
-totals exactly.
+Summaries fold back into a registry
+(:meth:`MetricsRegistry.merge_summary`): counters and histogram
+counts/totals/buckets add, so a grid-level registry's totals are the
+sums of its cells'.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 #: The quantiles exposed on histogram summaries and expositions.
 QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
@@ -141,7 +136,7 @@ class Histogram:
         return out
 
     def merge(self, other: Dict[str, Any]) -> None:
-        """Fold another histogram's snapshot/summary slice into this
+        """Fold another histogram's summary slice into this
         one (count/total/buckets add; min/max take the extremes)."""
         self.count += int(other.get("count", 0))
         self.total += float(other.get("total", 0.0))
@@ -209,44 +204,6 @@ class MetricsRegistry:
             out[name] = h.summary()
         return dict(sorted(out.items()))
 
-    # -- snapshot / merge / delta ----------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A plain-JSON image of every instrument, typed by section.
-
-        Unlike :meth:`summary` (which flattens for reporting), a
-        snapshot keeps counters, gauges and histograms apart so it can
-        be merged or subtracted without guessing an entry's kind.
-        """
-        return {
-            "counters": {n: c.value
-                         for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.summary()
-                       for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: {"count": h.count, "total": h.total,
-                    "min": h.min, "max": h.max,
-                    "buckets": {str(k): v for k, v
-                                in sorted(h.buckets.items())}}
-                for n, h in sorted(self._histograms.items())},
-        }
-
-    def merge(self, snapshot: Dict[str, Any]) -> "MetricsRegistry":
-        """Fold a :meth:`snapshot` (or a :func:`snapshot_delta`) into
-        this registry: counters and histogram counts/totals/buckets
-        add, gauges take the incoming last value while keeping the
-        combined extremes.  Returns ``self`` for chaining."""
-        for name, value in (snapshot.get("counters") or {}).items():
-            self.counter(name).inc(int(value))
-        for name, g in (snapshot.get("gauges") or {}).items():
-            gauge = self.gauge(name)
-            for v in (g.get("min"), g.get("max"), g.get("last")):
-                if v is not None:
-                    gauge.set(v)
-        for name, h in (snapshot.get("histograms") or {}).items():
-            self.histogram(name).merge(h)
-        return self
-
     def merge_summary(self, summary: Dict[str, Any]
                       ) -> "MetricsRegistry":
         """Fold a flat :meth:`summary` dict (the form that rides on
@@ -269,56 +226,3 @@ class MetricsRegistry:
                 self.counter(name).inc(int(value))
         return self
 
-
-def merge_registries(snapshots: Iterable[Dict[str, Any]]
-                     ) -> MetricsRegistry:
-    """Fold many snapshots/deltas into one fresh registry."""
-    reg = MetricsRegistry()
-    for snap in snapshots:
-        reg.merge(snap)
-    return reg
-
-
-def snapshot_delta(new: Dict[str, Any],
-                   old: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """What changed between two :meth:`MetricsRegistry.snapshot`\\ s.
-
-    The result is itself snapshot-shaped and additive:
-    ``merge(old); merge(delta)`` reproduces ``new``'s counter and
-    histogram totals exactly.  Gauges carry the new image (last-value
-    instruments have no meaningful difference).  Instruments absent
-    from the delta were untouched; an empty delta means nothing
-    happened between the snapshots.
-    """
-    old = old or {}
-    out: Dict[str, Any] = {"counters": {}, "gauges": {},
-                           "histograms": {}}
-    old_counters = old.get("counters") or {}
-    for name, value in (new.get("counters") or {}).items():
-        diff = int(value) - int(old_counters.get(name, 0))
-        if diff:
-            out["counters"][name] = diff
-    old_gauges = old.get("gauges") or {}
-    for name, g in (new.get("gauges") or {}).items():
-        if g != old_gauges.get(name):
-            out["gauges"][name] = dict(g)
-    old_hists = old.get("histograms") or {}
-    for name, h in (new.get("histograms") or {}).items():
-        prev = old_hists.get(name) or {}
-        count = int(h.get("count", 0)) - int(prev.get("count", 0))
-        if not count:
-            continue
-        prev_buckets = prev.get("buckets") or {}
-        buckets = {
-            k: int(v) - int(prev_buckets.get(k, 0))
-            for k, v in (h.get("buckets") or {}).items()
-            if int(v) - int(prev_buckets.get(k, 0))
-        }
-        out["histograms"][name] = {
-            "count": count,
-            "total": float(h.get("total", 0.0))
-            - float(prev.get("total", 0.0)),
-            "min": h.get("min"), "max": h.get("max"),
-            "buckets": buckets,
-        }
-    return out

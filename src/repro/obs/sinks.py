@@ -25,13 +25,14 @@ class Sink:
 
 
 class RingBufferSink(Sink):
-    """Keep the most recent ``capacity`` records in memory.
+    """Keep the most recent ``capacity`` records in memory
+    (``capacity=None`` keeps every record).
 
     The default sink for post-mortems: cheap enough to leave on, and
     the tail of the buffer is exactly the lead-up to the failure.
     """
 
-    def __init__(self, capacity: int = 65_536):
+    def __init__(self, capacity: Optional[int] = 65_536):
         self._buffer: deque = deque(maxlen=capacity)
 
     def record(self, rec: Any) -> None:

@@ -156,47 +156,31 @@ def run_cell(task: CellTask) -> ConformanceCase:
     """Run one cell through the serial harness (fresh scenario, fresh
     plan, fresh oracle) — the parallel executor's unit of work, and by
     construction the same computation the serial grid performs."""
-    case, _records = _cell_worker(task)
+    case, _records, _epoch_ns = _cell_worker(task)
     return case
 
 
-def _cell_worker(task: CellTask, ship=None):
+def _cell_worker(task: CellTask):
     """Worker-side cell execution.
 
-    Returns ``(case, trace_records)``: the classified case plus, when
-    ``task.traced``, the cell's raw tracer records.
-
-    With a ``ship`` callback the records are *streamed* instead of
-    buffered: a :class:`~repro.obs.telemetry.StreamingSink` sends
-    bounded, sequence-numbered batches through ``ship`` while the cell
-    runs (in the fleet: over the worker's result pipe), the final
-    partial batch is flushed before the case is returned, and the
-    records slot of the return value is ``None`` — the coordinator's
-    :class:`~repro.obs.telemetry.TelemetryMerger` already has them.
-    Every batch carries the worker tracer's epoch
-    (``time.perf_counter_ns`` is machine-wide monotonic on the
-    platforms that offer ``fork``), so the coordinator can rebase
-    worker timestamps onto its own timeline.
+    Returns ``(case, trace_records, epoch_ns)``: the classified case
+    and, when ``task.traced``, every tracer record of the cell (one
+    unbounded list) with the worker tracer's epoch; an untraced cell
+    returns ``None`` and 0.  The fleet worker sends all three on its
+    result message, and the coordinator rebases the records by the
+    epoch onto its own timeline (``time.perf_counter_ns`` is
+    machine-wide monotonic on the platforms that offer ``fork``).
     """
     from repro.faults.harness import run_conformance
 
     scenario = get_scenario(task.scenario)
     tracer = None
-    ring = None
     if task.traced:
+        from repro.obs.sinks import RingBufferSink
         from repro.obs.tracer import Tracer
 
-        if ship is not None:
-            from repro.obs.telemetry import StreamingSink
-
-            sink = StreamingSink(ship)
-            tracer = Tracer([sink])
-            sink.epoch_ns = tracer._epoch_ns
-        else:
-            from repro.obs.sinks import RingBufferSink
-
-            ring = RingBufferSink()
-            tracer = Tracer([ring])
+        ring = RingBufferSink(capacity=None)
+        tracer = Tracer([ring])
     report = run_conformance(
         scenario.name, scenario.agents, scenario.channels,
         scenario.spec, {task.plan: scenario.plans[task.plan]},
@@ -206,9 +190,9 @@ def _cell_worker(task: CellTask, ship=None):
         tracer=tracer, record=task.record,
     )
     [case] = report.cases
-    if tracer is not None:
-        tracer.close()      # streaming: flush the final partial batch
-    return case, (list(ring) if ring is not None else None)
+    if tracer is None:
+        return case, None, 0
+    return case, ring.records, tracer._epoch_ns
 
 
 # -- the parallel grid ------------------------------------------------------
@@ -255,9 +239,9 @@ def run_conformance_parallel(scenario: str,
     calling process.
 
     With a ``tracer`` attached, each fleet cell runs under its own
-    in-worker tracer and streams its records back; the fleet commits
-    an accepted attempt's records onto the caller's timeline
-    (per-cell track suffixes keep the Perfetto rows apart).
+    in-worker tracer and hands its records back with its result; the
+    fleet folds an accepted attempt's records onto the caller's
+    timeline (per-cell track suffixes keep the Perfetto rows apart).
 
     ``fleet`` (a :class:`~repro.par.fleet.FleetPolicy`) configures the
     supervised executor: per-cell deadlines, retry/backoff, chaos
@@ -269,7 +253,7 @@ def run_conformance_parallel(scenario: str,
 
     ``status`` (a :class:`~repro.obs.telemetry.FleetStatus`) receives
     live scoreboard updates — grid size, cache hits, per-cell
-    completions, retries, streamed-record counts — for the
+    completions, retries, trace-record counts — for the
     ``python -m repro top`` view.  It is written in place; a display
     thread may snapshot it concurrently.
     """

@@ -34,8 +34,9 @@ Everything is instrumented through :mod:`repro.obs`: ``fleet.spawn`` /
 ``fleet.dispatch`` / ``fleet.retry`` / ``fleet.timeout`` /
 ``fleet.crash`` / ``fleet.quarantine`` events (per-worker Perfetto
 tracks ``fleet.w<N>``).  The report's ``fleet_stats`` counts
-retries, timeouts, crashes, errors and quarantines, and carries the
-backoff/attempt histograms under ``"metrics"``.
+retries, timeouts, crashes, errors, quarantines and the trace records
+folded onto the parent timeline, and carries the backoff/attempt
+histograms under ``"metrics"``.
 """
 
 from __future__ import annotations
@@ -238,25 +239,15 @@ def _worker_main(conn, chaos: Optional[ChaosSpec],
                   f"×{task.seed} attempt {attempt}",
                   file=sys.stderr, flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
-        # traced cells stream their records over the result pipe in
-        # bounded batches ("tel" messages) instead of buffering them
-        # for the final "ok" — the pipe's own blocking send is the
-        # backpressure, and FIFO ordering guarantees every batch lands
-        # before the result message that commits them
-        ship = None
-        if task.traced:
-            def ship(batch, _conn=conn):
-                try:
-                    _conn.send(("tel", batch))
-                except (BrokenPipeError, OSError):
-                    pass        # coordinator gone; the run is over
+        # a traced cell's records and tracer epoch ride on its one
+        # result message, so an attempt that raises or dies sends none
         try:
-            case, _records = _cell_worker(task, ship=ship)
+            case, records, epoch_ns = _cell_worker(task)
         except Exception:
             conn.send(("err", traceback.format_exc(limit=30)))
             continue
         try:
-            conn.send(("ok", case))
+            conn.send(("ok", case, records, epoch_ns))
         except (BrokenPipeError, OSError):
             return
 
@@ -306,14 +297,12 @@ def run_fleet(pending: List[Tuple[int, Any]],
     Already-completed results are retained no matter what later
     workers do: a dying pool can no longer discard the grid.
 
-    With a live ``tracer``, traced cells *stream* their records over
-    the worker pipes in bounded batches; a
-    :class:`~repro.obs.telemetry.TelemetryMerger` ingests them
-    idempotently and commits an attempt's spans and metric deltas onto
-    the parent timeline only when that attempt's result is accepted —
-    failed attempts are abandoned wholesale, so retries never
-    double-count.  That commit is the only way worker records reach
-    the parent tracer.  ``status`` (a
+    With a live ``tracer``, a traced cell's worker sends the cell's
+    records and its tracer epoch on the result message, and the
+    coordinator rebases an accepted attempt's records onto the parent
+    timeline with an ``@plan×seed`` track suffix.  A failed attempt
+    sends no result, so retries never double-count; ``trace_records``
+    in ``stats`` counts what reached the parent.  ``status`` (a
     :class:`~repro.obs.telemetry.FleetStatus`) receives live
     scoreboard updates for the ``top`` view.
     """
@@ -321,15 +310,10 @@ def run_fleet(pending: List[Tuple[int, Any]],
     traced = tracer is not None and getattr(tracer, "enabled", False)
     total = len(pending)
     metrics = MetricsRegistry()
-    merger = None
-    if traced:
-        from repro.obs.telemetry import TelemetryMerger
-
-        merger = TelemetryMerger(tracer)
     stats: Dict[str, Any] = {
         "workers": 0, "spawns": 0, "respawns": 0, "dispatches": 0,
         "retries": 0, "timeouts": 0, "crashes": 0, "errors": 0,
-        "quarantined": 0, "completed": 0,
+        "quarantined": 0, "completed": 0, "trace_records": 0,
     }
     cases: Dict[int, ConformanceCase] = {}
     if not pending:
@@ -415,7 +399,8 @@ def run_fleet(pending: List[Tuple[int, Any]],
         except (BrokenPipeError, OSError):
             worker_died(w, "send failed: worker pipe closed")
 
-    def complete(w: _Worker, case: ConformanceCase) -> None:
+    def complete(w: _Worker, case: ConformanceCase,
+                 records: Optional[list], epoch_ns: int) -> None:
         i, task, attempt, log = w.assigned
         w.assigned = None
         w.deadline = None
@@ -423,9 +408,15 @@ def run_fleet(pending: List[Tuple[int, Any]],
         cases[i] = case
         stats["completed"] += 1
         metrics.histogram("fleet.attempts").record(attempt)
-        if merger is not None:
-            merger.commit(cell_salt(task), attempt,
-                          track_suffix=f"@{task.plan}×{task.seed}")
+        if traced and records:
+            from repro.obs.perfetto import rebase_records
+
+            tracer.ingest(rebase_records(
+                records, offset_ns=epoch_ns - tracer._epoch_ns,
+                track_suffix=f"@{task.plan}×{task.seed}"))
+            stats["trace_records"] += len(records)
+            if status is not None:
+                status.on_records(len(records))
         if status is not None:
             status.on_settled()
             status.on_complete(case.outcome, case.elapsed_s)
@@ -444,10 +435,6 @@ def run_fleet(pending: List[Tuple[int, Any]],
         counter = {"timeout": "timeouts", "crashed": "crashes",
                    "error": "errors"}[kind]
         stats[counter] += 1
-        if merger is not None:
-            # retract the failed attempt's streamed telemetry: its
-            # partial spans and metric deltas never reach the parent
-            merger.abandon(cell_salt(task), attempt)
         if status is not None:
             status.on_settled()
             status.on_attempt_failed(kind)
@@ -570,27 +557,8 @@ def run_fleet(pending: List[Tuple[int, Any]],
                     except (EOFError, OSError):
                         worker_died(w, "result pipe broke")
                         continue
-                    if msg[0] == "tel":
-                        i, task, attempt, _log = w.assigned
-                        batch = msg[1]
-                        n = len(batch.get("records") or [])
-                        stats["stream_batches"] = \
-                            stats.get("stream_batches", 0) + 1
-                        stats["stream_records"] = \
-                            stats.get("stream_records", 0) + n
-                        if merger is not None:
-                            merger.ingest(cell_salt(task), attempt,
-                                          batch)
-                        if status is not None:
-                            status.on_stream(n)
-                        # a streaming worker keeps its pipe ready, so
-                        # the elif deadline check below would starve —
-                        # enforce it here as well
-                        if w.deadline is not None \
-                                and now >= w.deadline:
-                            worker_timed_out(w)
-                    elif msg[0] == "ok":
-                        complete(w, msg[1])
+                    if msg[0] == "ok":
+                        complete(w, *msg[1:])
                     else:
                         item = w.assigned
                         w.assigned = None
@@ -617,8 +585,6 @@ def run_fleet(pending: List[Tuple[int, Any]],
         stats["metrics"] = summary
     if policy.chaos is not None:
         stats["chaos"] = policy.chaos.describe()
-    if merger is not None:
-        stats["telemetry"] = merger.stats()
     return cases, stats
 
 

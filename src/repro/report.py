@@ -159,7 +159,7 @@ def _fmt_stat(v: object) -> str:
 def render_fleet_status(snap: dict, width: int = 40) -> str:
     """Render a :meth:`~repro.obs.telemetry.FleetStatus.snapshot` as
     the ``python -m repro top`` scoreboard: progress bar, worker
-    occupancy, outcome counts, cache hit-rate, streamed telemetry and
+    occupancy, outcome counts, cache hit-rate, trace-record count and
     ETA.  Pure function of the snapshot dict — deterministic output
     for golden tests."""
     total = snap.get("total") or 0
@@ -185,8 +185,7 @@ def render_fleet_status(snap: dict, width: int = 40) -> str:
         f"timeouts {snap.get('timeouts', 0)}  "
         f"crashes {snap.get('crashes', 0)}",
         f"  cache hits {snap.get('cached', 0)} ({hit_text})  "
-        f"streamed {snap.get('records_streamed', 0)} records in "
-        f"{snap.get('batches_streamed', 0)} batches",
+        f"trace records {snap.get('trace_records', 0)}",
     ]
     return "\n".join(lines)
 

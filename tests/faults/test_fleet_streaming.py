@@ -1,15 +1,17 @@
-"""Tests for live telemetry streaming through the fleet.
+"""Tests for trace records coming back through the fleet.
 
-Traced fleet cells no longer ride their whole trace buffer on the
-final ``ok`` message: workers ship bounded, sequence-numbered batches
-while cells run, and the coordinator's :class:`TelemetryMerger`
-commits an attempt's records exactly once — only if the fleet accepts
-that attempt.  These tests pin the acceptance property under chaos:
+A traced fleet cell's worker sends the cell's records and its tracer
+epoch on the result message, and the coordinator rebases an accepted
+attempt's records onto the parent timeline with an ``@plan×seed``
+track suffix.  A failed attempt sends no result, so it leaves no
+records.  These tests pin that under chaos and under a raising check:
 valid Chrome-trace JSON whose surviving tracks match a clean run's,
-with retried cells never double-counted and quarantined cells leaving
-no tracks at all.
+with retried cells never double-counted, failed attempts and
+quarantined cells leaving no tracks at all, and every cell's records
+placed after its dispatch on the parent clock.
 """
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -48,20 +50,21 @@ def _per_cell_counts(ring):
     return counts
 
 
+def _ts(rec):
+    return rec.start_ns if rec.kind == "span" else rec.ts_ns
+
+
 class TestStreamingGrid:
     def test_cells_stream_batches_while_running(self):
+        # every cell hands its records back with its result, and the
+        # count is exactly what reached the parent's per-cell rows
         report, ring = _traced_grid()
         assert report.all_conform
         stats = report.fleet_stats
-        assert stats["stream_batches"] > 0
-        assert stats["stream_records"] > 0
-        telemetry = stats["telemetry"]
-        assert telemetry["attempts_committed"] == len(report.cases)
-        assert telemetry["duplicates_dropped"] == 0
-        assert telemetry["attempts_abandoned"] == 0
-        # everything ingested was streamed, nothing rode the final ok
-        assert telemetry["records"] == stats["stream_records"]
-        assert len(list(ring)) >= stats["stream_records"]
+        assert stats["trace_records"] > 0
+        counts = _per_cell_counts(ring)
+        assert len(counts) == len(report.cases)
+        assert sum(counts.values()) == stats["trace_records"]
 
     def test_streamed_tracks_keep_grid_coordinates(self):
         report, ring = _traced_grid(seeds=[0])
@@ -70,16 +73,30 @@ class TestStreamingGrid:
         for plan in sc.plans:
             assert any(t.endswith(f"@{plan}×0") for t in tracks), plan
         for rec in ring:
-            ts = rec.start_ns if rec.kind == "span" else rec.ts_ns
-            assert ts >= 0
+            assert _ts(rec) >= 0
+
+    def test_records_start_after_their_dispatch(self):
+        # the worker's tracer starts after the coordinator dispatched
+        # the cell, so a correct epoch offset puts every rebased
+        # record after that cell's fleet.dispatch event
+        report, ring = _traced_grid()
+        dispatched = {f"{r.args['plan']}×{r.args['seed']}": r.ts_ns
+                      for r in ring if r.name == "fleet.dispatch"}
+        first = {}
+        for rec in ring:
+            if "@" in rec.track:
+                cell, ts = rec.track.rsplit("@", 1)[1], _ts(rec)
+                first[cell] = min(first.get(cell, ts), ts)
+        assert set(first) == set(dispatched)
+        assert len(first) == len(report.cases)
+        for cell, ts in first.items():
+            assert ts >= dispatched[cell], cell
 
     def test_untraced_grid_ships_nothing(self):
         report = par.run_conformance_parallel(
             "dfm", seeds=range(2), workers=2,
             fleet=FleetPolicy(retries=1, **FAST))
-        stats = report.fleet_stats
-        assert stats.get("stream_batches", 0) == 0
-        assert "telemetry" not in stats
+        assert report.fleet_stats["trace_records"] == 0
 
     def test_fleet_status_tracks_the_stream(self):
         status = FleetStatus()
@@ -87,8 +104,7 @@ class TestStreamingGrid:
         stats = report.fleet_stats
         assert status.done == len(report.cases)
         assert status.conforming == len(report.cases)
-        assert status.records_streamed == stats["stream_records"]
-        assert status.batches_streamed == stats["stream_batches"]
+        assert status.trace_records == stats["trace_records"] > 0
         assert status.finished
         assert status.busy == 0
 
@@ -121,14 +137,11 @@ class TestChaosStreaming:
         assert report.digest() == clean_report.digest()
         retried = [c for c in report.cases if c.attempts > 1]
         assert retried, "chaos spec should have killed a cell"
-        # exactly one attempt per cell committed — kills at task
-        # receipt stream nothing (partial-stream retraction is pinned
-        # by the TelemetryMerger unit tests)
-        telemetry = report.fleet_stats["telemetry"]
-        assert telemetry["attempts_committed"] == len(report.cases)
-        # a retried cell's committed records equal the clean run's —
-        # the failed attempt contributed nothing
+        # a retried cell's records equal the clean run's — the failed
+        # attempt contributed nothing
         assert _per_cell_counts(ring) == _per_cell_counts(clean_ring)
+        assert report.fleet_stats["trace_records"] == \
+            clean_report.fleet_stats["trace_records"]
 
     def test_chaos_trace_exports_valid_chrome_json(self, tmp_path):
         chaos = _recovering_chaos()
@@ -151,8 +164,8 @@ class TestChaosStreaming:
         assert all(d >= 0 for d in durations)
 
     def test_quarantined_cells_leave_no_tracks(self, tmp_path):
-        # p=1.0: every attempt dies, every cell quarantines — all
-        # streamed telemetry must be retracted, none committed
+        # p=1.0: every attempt dies, every cell quarantines — no
+        # cell's records reach the parent
         policy = FleetPolicy(
             retries=1, quarantine_dir=str(tmp_path / "q"),
             chaos=ChaosSpec(kill_worker_p=1.0, seed=3), **FAST)
@@ -160,9 +173,43 @@ class TestChaosStreaming:
         assert report.degraded
         assert all(c.outcome == "quarantined" for c in report.cases)
         assert not any("@" in r.track for r in ring)
-        telemetry = report.fleet_stats["telemetry"]
-        assert telemetry["attempts_committed"] == 0
+        assert report.fleet_stats["trace_records"] == 0
         # the export is still valid (possibly near-empty) JSON
         path = tmp_path / "empty.perfetto.json"
         write_chrome_trace(list(ring), str(path))
         json.loads(path.read_text(encoding="utf-8"))
+
+
+class _RaisingSpec:
+    """A spec whose check raises once the cell's run is over."""
+
+    def is_smooth_solution(self, trace, depth):
+        raise RuntimeError("check exploded after the run")
+
+
+def _build_raising_check() -> par.Scenario:
+    return dataclasses.replace(par.get_scenario("dfm"),
+                               name="fleet-raising-check",
+                               spec=_RaisingSpec())
+
+
+class TestFailedAttempts:
+    def test_attempt_that_raises_leaves_no_records(self):
+        # each attempt runs its network, traced, and then raises in
+        # the conformance check: its records must not reach the parent
+        name = "fleet-raising-check"
+        par.register_scenario(name, _build_raising_check)
+        try:
+            ring = RingBufferSink()
+            report = par.run_conformance_parallel(
+                name, seeds=[0], workers=2, tracer=Tracer([ring]),
+                fleet=FleetPolicy(retries=0))
+        finally:
+            par._SCENARIOS.pop(name, None)
+        stats = report.fleet_stats
+        assert stats["errors"] == len(report.cases) > 1
+        assert all(c.outcome == "crashed" and "failed: error" in c.detail
+                   for c in report.cases)
+        assert stats["trace_records"] == 0
+        assert not any("@" in r.track for r in ring)
+        assert any(r.name == "fleet.crash" for r in ring)

@@ -228,7 +228,7 @@ def test_parallel_cell_graph_equals_serial():
                    for c in report.cases), f"no case for cell {name!r}"
         task = CellTask(scenario="dfm", plan=plan, seed=int(seed),
                         max_steps=steps, traced=True)
-        _, serial_records = _traced_cell(task)
+        _, serial_records, _ = _traced_cell(task)
         assert CausalGraph.from_records(cell_records).digest() == \
             CausalGraph.from_records(serial_records).digest(), \
             f"cell {name!r} diverges from its serial run"

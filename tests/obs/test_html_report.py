@@ -71,7 +71,7 @@ class TestRenderHtmlReport:
         html = render_html_report(_report(),
                                   status=status.snapshot())
         assert "Final status" in html
-        assert "records_streamed" in html
+        assert "trace_records" in html
 
     def test_histogram_bars(self):
         report = _report()

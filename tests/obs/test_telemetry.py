@@ -1,176 +1,10 @@
-"""Tests for repro.obs.telemetry — streaming sink, idempotent merger
-and the live fleet scoreboard.
-
-The merger's contract is the satellite fix this PR pins: worker
-batches may arrive out of order, duplicated, or for attempts that
-later fail — and committed spans/metrics must come out exactly once,
-in sequence order, only for accepted attempts.
+"""Tests for repro.obs.telemetry — the live fleet scoreboard and the
+grid metrics summary.
 """
 
 import pytest
 
-from repro.obs import MetricsRegistry, RingBufferSink, Tracer
-from repro.obs.telemetry import (
-    DEFAULT_BATCH_RECORDS,
-    FleetStatus,
-    StreamingSink,
-    TelemetryMerger,
-    grid_metrics_summary,
-)
-from repro.obs.tracer import EventRecord, SpanRecord
-
-
-def _span(name, start_ns=0, track="w"):
-    return SpanRecord(name=name, category="test", track=track,
-                      start_ns=start_ns, dur_ns=10, depth=0)
-
-
-def _event(name, ts_ns=0, track="w"):
-    return EventRecord(name=name, category="test", track=track,
-                       ts_ns=ts_ns)
-
-
-class TestStreamingSink:
-    def test_ships_bounded_sequence_numbered_batches(self):
-        shipped = []
-        sink = StreamingSink(shipped.append, batch_records=3)
-        for i in range(7):
-            sink.record(_span(f"s{i}", start_ns=i))
-        sink.close()
-        assert [b["seq"] for b in shipped] == [0, 1, 2]
-        assert [len(b["records"]) for b in shipped] == [3, 3, 1]
-        names = [r.name for b in shipped for r in b["records"]]
-        assert names == [f"s{i}" for i in range(7)]
-        assert sink.shipped_records == 7
-
-    def test_close_without_records_ships_nothing(self):
-        shipped = []
-        StreamingSink(shipped.append).close()
-        assert shipped == []
-
-    def test_close_is_idempotent(self):
-        shipped = []
-        sink = StreamingSink(shipped.append)
-        sink.record(_span("a"))
-        sink.close()
-        sink.close()
-        assert len(shipped) == 1
-
-    def test_metric_deltas_are_additive(self):
-        # merging every batch's delta reproduces the stream totals no
-        # matter how the batches were cut
-        shipped = []
-        sink = StreamingSink(shipped.append, batch_records=2)
-        for i in range(5):
-            sink.record(_span(f"s{i}"))
-        sink.record(_event("e0"))
-        sink.close()
-        merged = MetricsRegistry()
-        for batch in shipped:
-            merged.merge(batch["metrics"])
-        summary = merged.summary()
-        assert summary["tel.records"] == 6
-        assert summary["tel.records.test"] == 6
-
-    def test_epoch_rides_on_every_batch(self):
-        shipped = []
-        sink = StreamingSink(shipped.append, batch_records=1,
-                             epoch_ns=12345)
-        sink.record(_span("a"))
-        assert shipped[0]["epoch_ns"] == 12345
-
-    def test_rejects_degenerate_batch_size(self):
-        with pytest.raises(ValueError):
-            StreamingSink(lambda b: None, batch_records=0)
-
-    def test_default_batch_bound(self):
-        assert DEFAULT_BATCH_RECORDS >= 1
-
-
-def _batch(seq, names, counters=None, epoch_ns=0):
-    metrics = {"counters": dict(counters or {}), "gauges": {},
-               "histograms": {}}
-    return {"seq": seq, "records": [_span(n) for n in names],
-            "metrics": metrics, "epoch_ns": epoch_ns}
-
-
-class TestTelemetryMerger:
-    def test_duplicate_batches_dropped(self):
-        m = TelemetryMerger()
-        assert m.ingest("cell", 1, _batch(0, ["a"], {"n": 1}))
-        assert not m.ingest("cell", 1, _batch(0, ["a"], {"n": 1}))
-        m.commit("cell", 1)
-        assert m.committed_registry.summary()["n"] == 1
-        assert m.stats()["duplicates_dropped"] == 1
-
-    def test_out_of_order_batches_reassembled_by_seq(self):
-        ring = RingBufferSink()
-        tracer = Tracer([ring])
-        m = TelemetryMerger(tracer)
-        m.ingest("cell", 1, _batch(2, ["c"]))
-        m.ingest("cell", 1, _batch(0, ["a"]))
-        m.ingest("cell", 1, _batch(1, ["b"]))
-        n = m.commit("cell", 1)
-        assert n == 3
-        assert [r.name for r in ring] == ["a", "b", "c"]
-
-    def test_commit_is_idempotent(self):
-        ring = RingBufferSink()
-        m = TelemetryMerger(Tracer([ring]))
-        m.ingest("cell", 1, _batch(0, ["a"], {"n": 2}))
-        assert m.commit("cell", 1) == 1
-        assert m.commit("cell", 1) == 0
-        assert len(list(ring)) == 1
-        assert m.committed_registry.summary()["n"] == 2
-
-    def test_abandon_retracts_attempt_wholesale(self):
-        ring = RingBufferSink()
-        m = TelemetryMerger(Tracer([ring]))
-        m.ingest("cell", 1, _batch(0, ["doomed"], {"n": 5}))
-        m.abandon("cell", 1)
-        # late batch for the dead attempt: dropped, not buffered
-        assert not m.ingest("cell", 1, _batch(1, ["late"]))
-        # the retry is a fresh attempt and commits cleanly
-        m.ingest("cell", 2, _batch(0, ["ok"], {"n": 1}))
-        m.commit("cell", 2)
-        assert [r.name for r in ring] == ["ok"]
-        assert m.committed_registry.summary()["n"] == 1
-        assert m.stats()["attempts_abandoned"] == 1
-        assert m.stats()["attempts_committed"] == 1
-
-    def test_batches_after_commit_dropped(self):
-        m = TelemetryMerger()
-        m.ingest("cell", 1, _batch(0, ["a"]))
-        m.commit("cell", 1)
-        assert not m.ingest("cell", 1, _batch(1, ["straggler"]))
-        assert m.stats()["duplicates_dropped"] == 1
-
-    def test_commit_rebases_onto_parent_clock(self):
-        ring = RingBufferSink()
-        tracer = Tracer([ring])
-        m = TelemetryMerger(tracer)
-        worker_epoch = tracer._epoch_ns + 500
-        batch = _batch(0, ["a"], epoch_ns=worker_epoch)
-        batch["records"] = [_span("a", start_ns=7)]
-        m.ingest("cell", 1, batch)
-        m.commit("cell", 1, track_suffix="@drop×0")
-        rec = list(ring)[0]
-        assert rec.start_ns == 507
-        assert rec.track.endswith("@drop×0")
-
-    def test_distinct_cells_do_not_collide(self):
-        m = TelemetryMerger()
-        assert m.ingest("cell-a", 1, _batch(0, ["a"]))
-        assert m.ingest("cell-b", 1, _batch(0, ["b"]))
-        assert m.stats()["duplicates_dropped"] == 0
-
-    def test_live_registry_includes_in_flight(self):
-        m = TelemetryMerger()
-        m.ingest("done", 1, _batch(0, ["a"], {"n": 1}))
-        m.commit("done", 1)
-        m.ingest("running", 1, _batch(0, ["b"], {"n": 10}))
-        assert m.live_registry().summary()["n"] == 11
-        assert m.committed_registry.summary()["n"] == 1
+from repro.obs.telemetry import FleetStatus, grid_metrics_summary
 
 
 class TestFleetStatus:
@@ -223,10 +57,10 @@ class TestFleetStatus:
 
     def test_stream_accounting(self):
         s = FleetStatus()
-        s.on_stream(100)
-        s.on_stream(28)
-        assert s.records_streamed == 128
-        assert s.batches_streamed == 2
+        s.on_records(100)
+        s.on_records(28)
+        assert s.trace_records == 128
+        assert s.snapshot()["trace_records"] == 128
 
 
 class TestGridMetricsSummary:
@@ -243,7 +77,7 @@ class TestGridMetricsSummary:
                 Case("conforms", {"agent.steps": 4}, cached=True),
                 Case("violates-safety"),
             ]
-            fleet_stats = {"retries": 2, "stream_records": 50,
+            fleet_stats = {"retries": 2, "trace_records": 50,
                            "metrics": {"fleet.attempts": 3}}
 
         summary = grid_metrics_summary(Report())
@@ -254,4 +88,4 @@ class TestGridMetricsSummary:
         assert summary["agent.steps"] == 7      # per-cell totals add
         assert summary["fleet.attempts"] == 3
         assert summary["fleet.stats.retries"] == 2
-        assert summary["fleet.stats.stream_records"] == 50
+        assert summary["fleet.stats.trace_records"] == 50

@@ -280,15 +280,26 @@ class TestCli:
         ("--max-steps", ["top", "dfm", "--max-steps", "-1"]),
         ("--max-steps", ["record", "dfm", "--max-steps", "-1"]),
         ("--max-steps", ["trace", "dfm", "--max-steps", "-1"]),
+        ("--budget-seconds", ["solve", "dfm", "--budget-seconds", "-1"]),
+        ("--budget-seconds", ["query", "dfm", "--budget-seconds", "nan",
+                              "--exists", "true"]),
+        ("--cell-timeout", ["grid", "dfm", "--seeds", "1",
+                            "--cell-timeout", "-1"]),
+        ("--cell-timeout", ["top", "dfm", "--cell-timeout", "nan"]),
+        ("--retries", ["grid", "dfm", "--retries", "-3"]),
+        ("--retries", ["top", "dfm", "--retries", "-1"]),
     ], ids=["solve-depth", "query-depth", "solve-max-nodes",
             "query-max-nodes", "grid-workers-negative",
             "grid-workers-zero", "grid-seeds", "grid-max-steps",
             "top-workers", "top-seeds", "top-max-steps",
-            "record-max-steps", "trace-max-steps"])
+            "record-max-steps", "trace-max-steps",
+            "solve-budget-seconds", "query-budget-seconds",
+            "grid-cell-timeout", "top-cell-timeout", "grid-retries",
+            "top-retries"])
     def test_out_of_range_counts_are_usage_errors(self, flag, argv,
                                                   capsys):
-        # a negative bound, budget or count, or no worker at all,
-        # would otherwise run and print a meaningless answer
+        # a negative or NaN bound, budget or count, or no worker at
+        # all, would otherwise run and print a meaningless answer
         from repro.__main__ import main
 
         with pytest.raises(SystemExit) as exc:
@@ -883,7 +894,7 @@ class TestRenderFleetStatus:
             "workers": 2, "conforming": 3, "genuine_failures": 0,
             "retries": 1, "timeouts": 0, "crashes": 1,
             "quarantined": 0, "cached": 1, "cache_hit_rate": 0.25,
-            "records_streamed": 128, "batches_streamed": 2,
+            "trace_records": 128,
             "elapsed_s": 1.5, "eta_s": 1.5, "finished": False,
         }
         snap.update(over)
@@ -899,7 +910,7 @@ class TestRenderFleetStatus:
             "  workers 2  busy 2  elapsed 1.5s  eta 1.5s\n"
             "  conforming 3  failures 0  quarantined 0\n"
             "  retries 1  timeouts 0  crashes 1\n"
-            "  cache hits 1 (25%)  streamed 128 records in 2 batches")
+            "  cache hits 1 (25%)  trace records 128")
 
     def test_finished_and_unknowns(self):
         from repro.report import render_fleet_status
